@@ -3,7 +3,7 @@
 Times one fixpoint of each shipped analysis (reaching definitions,
 liveness, nullness, conditional constant propagation) across every
 method body in the language base plus all 26 Table IX components —
-the exact workload ``tabby lint`` and ``--refine-guards`` put on the
+the exact workload ``tabby lint`` and ``--refine guards`` put on the
 engine.  Run with ``--benchmark-json`` for the same machine-readable
 shape as the other pytest-benchmark suites.
 """

@@ -9,8 +9,8 @@ verdict layer:
 * **zero false negatives** — no refuted chain matches the ground-truth
   table or is effective under the PoC oracle;
 * **beyond the guard pass** — at least one chain is refuted that the
-  older constant-guard refinement keeps (the planted RTA/taint decoys
-  in commons-collections 3.2.1 and Hibernate);
+  ``guards`` mode keeps (the planted RTA/taint decoys in
+  commons-collections 3.2.1 and Hibernate);
 * **overhead** (full mode) — total refinement time is <= 25% of the
   total analyze (build + search) wall time.
 
@@ -18,11 +18,13 @@ verdict layer:
 overhead gate (timings on a 2-component subset are noise); this is
 what CI runs.  The full run covers all 26 components and writes
 ``BENCH_refine.json`` with per-component chain-count deltas and
-timings.
+timings.  ``--smoke`` refuses to overwrite a full-mode results file,
+so pass ``--output`` elsewhere when smoke-testing.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -30,11 +32,11 @@ sys.path.insert(0, "src")
 
 from repro.analysis.chain_refiner import ChainRefiner
 from repro.core import Tabby
-from repro.core.refine import GuardFeasibilityRefiner
 from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.verify import ChainVerifier
 
 SMOKE_COMPONENTS = ["commons-collections(3.2.1)", "Hibernate"]
+WHOLE_CPG_MODES = ("rta", "taint")
 
 
 def run_component(name, failures):
@@ -47,7 +49,7 @@ def run_component(name, failures):
     analyze_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    refiner = ChainRefiner(tabby.cpg.hierarchy)
+    refiner = ChainRefiner(tabby.cpg.hierarchy, modes=WHOLE_CPG_MODES)
     result = refiner.refine(baseline)
     refine_seconds = time.perf_counter() - start
 
@@ -72,7 +74,9 @@ def run_component(name, failures):
                             f"({reason.kind}: {reason.detail})")
 
     # how many refutations the constant-guard pass cannot explain
-    guard_kept, _ = GuardFeasibilityRefiner(tabby.cpg.hierarchy).refine(baseline)
+    guard_kept = ChainRefiner(tabby.cpg.hierarchy, modes=("guards",)).refine(
+        baseline
+    ).kept
     guard_kept_keys = {c.key for c in guard_kept}
     beyond_guard = sum(
         1 for chain, _r in result.refuted if chain.key in guard_kept_keys
@@ -90,12 +94,27 @@ def run_component(name, failures):
     }
 
 
+def _is_full_mode(path):
+    """True when ``path`` holds a results file written by a full run."""
+    if not os.path.exists(path):
+        return False
+    try:
+        with open(path) as fh:
+            return json.load(fh).get("mode") == "full"
+    except (OSError, ValueError, AttributeError):
+        return False
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="decoy components only; skip the overhead gate")
     parser.add_argument("--output", default="BENCH_refine.json")
     args = parser.parse_args(argv)
+    if args.smoke and _is_full_mode(args.output):
+        print(f"refusing to overwrite full-mode results in {args.output}; "
+              "pass --output elsewhere for a smoke run", file=sys.stderr)
+        return 2
 
     names = SMOKE_COMPONENTS if args.smoke else list(COMPONENT_NAMES)
     failures = []

@@ -1,8 +1,14 @@
 """Chain-level refinement verdicts: KEPT / REFUTED(reason) / UNKNOWN.
 
 :class:`ChainRefiner` replays each candidate gadget chain against the
-whole-program refinement analyses and issues an explainable verdict:
+refinement analyses and issues an explainable verdict.  The modes run
+in the order of :data:`REFINE_MODES`, and the first refutation wins:
 
+* **guards** — constant-guard feasibility
+  (:class:`repro.core.refine.GuardFeasibilityRefiner`): a CALL hop
+  whose every matching call site sits in a block that conditional
+  constant propagation proves infeasible refutes the chain
+  (``constant-guard``);
 * **rta** — the RTA mirror of the edge annotations
   (:mod:`repro.analysis.rta`): an ALIAS hop dispatching into a class
   with no constructible receiver, or a CALL hop whose every matching
@@ -29,10 +35,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.chains import GadgetChain
-from repro.core.refine import RefutationReason
+from repro.core.chains import GadgetChain, chain_record
+from repro.core.refine import GuardFeasibilityRefiner, RefutationReason
 from repro.errors import AnalysisError
 from repro.jvm import ir
 from repro.jvm.hierarchy import ClassHierarchy
@@ -45,13 +51,36 @@ from repro.analysis.taint import (
     TaintValue,
 )
 
-__all__ = ["ChainRefiner", "ChainVerdict", "RefinementResult", "REFINE_MODES"]
+__all__ = [
+    "ChainRefiner",
+    "ChainVerdict",
+    "RefinementResult",
+    "REFINE_MODES",
+    "parse_refine_modes",
+]
 
 KEPT = "kept"
 REFUTED = "refuted"
 UNKNOWN = "unknown"
 
-REFINE_MODES = ("rta", "taint")
+#: every refinement mode, in the order :meth:`ChainRefiner.verdict`
+#: tries them
+REFINE_MODES = ("guards", "rta", "taint")
+
+
+def parse_refine_modes(value: str) -> Tuple[str, ...]:
+    """A comma-separated mode list (``"taint, guards"``) in canonical
+    :data:`REFINE_MODES` order; ``ValueError`` on an unknown or empty
+    list.  The CLI ``--refine`` flag and serve's ``options.refine``
+    both parse through here, so every spelling of one mode set shares
+    a serve cache key."""
+    modes = {m.strip() for m in value.split(",") if m.strip()}
+    if not modes or not modes <= set(REFINE_MODES):
+        raise ValueError(
+            f"invalid refinement mode(s): {value!r} "
+            f"(choose from {', '.join(REFINE_MODES)})"
+        )
+    return tuple(m for m in REFINE_MODES if m in modes)
 
 
 @dataclass(frozen=True)
@@ -64,7 +93,7 @@ class ChainVerdict:
     def as_dict(self) -> Dict[str, object]:
         doc: Dict[str, object] = {"status": self.status}
         if self.reason is not None:
-            doc["reason"] = self.reason.as_dict()
+            doc["refutation"] = self.reason.as_dict()
         return doc
 
 
@@ -93,6 +122,16 @@ class RefinementResult:
             if verdict.status == REFUTED and verdict.reason is not None:
                 out.append((chain, verdict.reason))
         return out
+
+    def records(self) -> List[Dict[str, Any]]:
+        """One verdict record per chain, in search order: the chain
+        record plus ``status`` and, for refuted chains, ``refutation``.
+        ``tabby chains --json``, serve ``/verdicts`` and ``tabby diff``
+        appeared rows all carry this shape."""
+        return [
+            {**chain_record(chain), **verdict.as_dict()}
+            for chain, verdict in zip(self.chains, self.verdicts)
+        ]
 
 
 #: A replay frame: is each input of the current chain step possibly
@@ -149,10 +188,14 @@ class ChainRefiner:
         if not hierarchy.classes:
             raise AnalysisError(
                 "chain refinement needs the analyzed class definitions; "
-                "a snapshot-loaded CPG has none"
+                "a snapshot-loaded CPG has none (re-add the classes via "
+                "add_classes/add_jar)"
             )
         self.hierarchy = hierarchy
         self.modes = tuple(m for m in REFINE_MODES if m in modes)
+        self.guards = (
+            GuardFeasibilityRefiner(hierarchy) if "guards" in self.modes else None
+        )
         self.types = TypeReachability(hierarchy) if "rta" in self.modes else None
         self.engine = (
             TaintSummaryEngine(hierarchy, cache_dir=cache_dir)
@@ -301,7 +344,12 @@ class ChainRefiner:
     # -- public API --------------------------------------------------------
 
     def verdict(self, chain: GadgetChain) -> ChainVerdict:
-        """Judge one chain: REFUTED beats UNKNOWN beats KEPT."""
+        """Judge one chain: REFUTED beats UNKNOWN beats KEPT.  Modes run
+        in :data:`REFINE_MODES` order and the first refutation wins."""
+        if self.guards is not None:
+            reason = self.guards.chain_refutation(chain)
+            if reason is not None:
+                return ChainVerdict(REFUTED, reason)
         if self.types is not None:
             reason = self._rta_refutation(chain)
             if reason is not None:

@@ -130,10 +130,12 @@ class ComponentResult:
     tabby: ToolScore
     gadgetinspector: ToolScore
     serianalyzer: ToolScore
-    #: Tabby re-scored after guard-feasibility refinement; only set when
-    #: run with refine_guards=True (extension, never alters the baseline
-    #: ``tabby`` column)
+    #: Tabby re-scored after refinement; only set when run with
+    #: ``refine`` modes (extension, never alters the baseline ``tabby``
+    #: column)
     tabby_refined: Optional[ToolScore] = None
+    #: the refinement modes behind ``tabby_refined``
+    refine: Tuple[str, ...] = ()
 
 
 def run_table_ix_component(
@@ -141,7 +143,7 @@ def run_table_ix_component(
     sl_step_budget: int = SL_STEP_BUDGET,
     workers: int = 1,
     cache_dir: Optional[str] = None,
-    refine_guards: bool = False,
+    refine: Optional[Sequence[str]] = None,
 ) -> ComponentResult:
     """Run all three tools on one Table IX component.
 
@@ -150,10 +152,10 @@ def run_table_ix_component(
     across components: every component includes the same language base
     classes, whose summaries are re-used after the first build.
 
-    ``refine_guards=True`` adds a fourth score: Tabby's chain list
-    post-filtered by :mod:`repro.core.refine`.  The baseline columns are
-    computed from the unrefined list either way, so Table IX stays
-    bit-identical with the flag on or off.
+    ``refine`` modes add a fourth score: Tabby's chain list
+    post-filtered by :class:`repro.analysis.chain_refiner.ChainRefiner`.
+    The baseline columns are computed from the unrefined list either
+    way, so Table IX stays bit-identical with refinement on or off.
     """
     spec = build_component(name)
     classes = build_lang_base() + spec.classes
@@ -166,11 +168,13 @@ def run_table_ix_component(
         "tabby", spec, chains, verifier, elapsed_seconds=time.perf_counter() - started
     )
     refined_score: Optional[ToolScore] = None
-    if refine_guards:
-        from repro.core.refine import GuardFeasibilityRefiner
+    if refine:
+        from repro.analysis.chain_refiner import ChainRefiner
 
         started = time.perf_counter()
-        kept, _refuted = GuardFeasibilityRefiner(tabby.cpg.hierarchy).refine(chains)
+        kept = ChainRefiner(
+            tabby.cpg.hierarchy, modes=refine, cache_dir=cache_dir
+        ).refine(chains).kept
         refined_score = classify_chains(
             "tabby+refine",
             spec,
@@ -205,6 +209,7 @@ def run_table_ix_component(
         gi_score,
         sl_score,
         tabby_refined=refined_score,
+        refine=tuple(refine or ()),
     )
 
 
@@ -213,7 +218,7 @@ def run_table_ix(
     sl_step_budget: int = SL_STEP_BUDGET,
     workers: int = 1,
     cache_dir: Optional[str] = None,
-    refine_guards: bool = False,
+    refine: Optional[Sequence[str]] = None,
 ) -> List[ComponentResult]:
     names = list(components) if components is not None else list(COMPONENT_NAMES)
     return [
@@ -222,7 +227,7 @@ def run_table_ix(
             sl_step_budget,
             workers=workers,
             cache_dir=cache_dir,
-            refine_guards=refine_guards,
+            refine=refine,
         )
         for name in names
     ]
@@ -289,7 +294,8 @@ def format_table_ix(results: Sequence[ComponentResult]) -> str:
         f"FNR%  GI={totals['gadgetinspector_fnr']:.1f} TB={totals['tabby_fnr']:.1f} "
         f"SL={totals['serianalyzer_fnr']:.1f}   (paper: 86.8 / 31.6 / 81.6)"
     )
-    refined = [r.tabby_refined for r in results if r.tabby_refined is not None]
+    refined_results = [r for r in results if r.tabby_refined is not None]
+    refined = [r.tabby_refined for r in refined_results]
     if refined:
         result = sum(s.result_count for s in refined)
         fake = sum(s.fake_count for s in refined)
@@ -301,11 +307,11 @@ def format_table_ix(results: Sequence[ComponentResult]) -> str:
         )
         refuted = sum(
             r.tabby.result_count - r.tabby_refined.result_count
-            for r in results
-            if r.tabby_refined is not None
+            for r in refined_results
         )
+        modes = ",".join(refined_results[0].refine)
         lines.append(
-            f"with --refine-guards: TB FPR={refined_fpr:.1f} "
+            f"with --refine {modes}: TB FPR={refined_fpr:.1f} "
             f"(Δ{refined_fpr - totals['tabby_fpr']:+.1f}) "
             f"FNR={refined_fnr:.1f} "
             f"(Δ{refined_fnr - totals['tabby_fnr']:+.1f})   "

@@ -31,6 +31,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core import SourceCatalog, Tabby
+from repro.core.chains import chain_record
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -98,18 +99,14 @@ def _nonnegative_int_arg(value: str) -> int:
 
 
 def _refine_modes_arg(value: str) -> tuple:
-    """Comma-separated subset of the refinement modes (rta,taint)."""
-    from repro.analysis.chain_refiner import REFINE_MODES
+    """Comma-separated subset of the refinement modes (guards,rta,taint),
+    in canonical order."""
+    from repro.analysis.chain_refiner import parse_refine_modes
 
-    modes = tuple(m.strip() for m in value.split(",") if m.strip())
-    bad = [m for m in modes if m not in REFINE_MODES]
-    if bad or not modes:
-        raise argparse.ArgumentTypeError(
-            f"invalid refinement mode(s): {value!r} "
-            f"(choose from {', '.join(REFINE_MODES)})"
-        )
-    # canonical order, matching ChainRefiner and the serve cache key
-    return tuple(m for m in REFINE_MODES if m in modes)
+    try:
+        return parse_refine_modes(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "before saving: 'rta' marks type-unreachable "
                          "dispatch edges (persisted in the snapshot), "
                          "'taint' precomputes field-sensitive taint "
-                         "summaries (warming --cache-dir when set)")
+                         "summaries (warming --cache-dir when set); "
+                         "'guards' persists nothing and is rejected")
     _add_build_flags(analyze)
 
     chains = sub.add_parser("chains", help="find gadget chains")
@@ -161,16 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthesise exploit recipes (§V-C)")
     chains.add_argument("--check-cpg", action="store_true",
                         help="verify CPG structural invariants after the build")
-    chains.add_argument("--refine-guards", action="store_true",
-                        help="drop chains behind constant-false guards "
-                        "(extension, off by default)")
     chains.add_argument("--refine", type=_refine_modes_arg, default=None,
                         metavar="MODES",
-                        help="comma-separated verdict-layer passes "
-                        "(rta,taint): refute chains via type "
-                        "reachability and/or taint summaries; the "
-                        "refined list is a verbatim subset of the "
-                        "unrefined one (extension, off by default)")
+                        help="comma-separated refinement passes "
+                        "(guards,rta,taint): refute chains behind "
+                        "constant-false guards, via type reachability "
+                        "and/or via taint summaries; the refined list is "
+                        "a verbatim subset of the unrefined one "
+                        "(extension, off by default)")
     chains.add_argument("--baseline-search", action="store_true",
                         help="use the unoptimized search engine (no "
                         "reachability pruning / negative caching); the "
@@ -186,13 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_build_flags(diff)
     diff.add_argument("--max-depth", type=int, default=12)
     diff.add_argument("--source-filter", default=None, metavar="PACKAGE_PREFIX")
-    diff.add_argument("--refine-guards", action="store_true",
-                      help="run guard-feasibility refutation over the "
-                      "appeared chains")
     diff.add_argument("--refine", type=_refine_modes_arg, default=None,
                       metavar="MODES",
-                      help="comma-separated verdict-layer passes (rta,taint) "
-                      "over the appeared chains")
+                      help="comma-separated refinement passes "
+                      "(guards,rta,taint) over the appeared chains")
     diff.add_argument("--json", action="store_true",
                       help="emit the versioned tabby-diff/v1 document")
 
@@ -235,9 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "('auto' = one per CPU)")
     bench.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="shared summary cache for table9 CPG builds")
-    bench.add_argument("--refine-guards", action="store_true",
-                       help="table9: also report FPR with guard-feasibility "
-                       "refinement on (baseline columns unchanged)")
+    bench.add_argument("--refine", type=_refine_modes_arg, default=None,
+                       metavar="MODES",
+                       help="table9: also report FPR with these refinement "
+                       "passes (guards,rta,taint) on; baseline columns "
+                       "unchanged")
 
     sinks = sub.add_parser("sinks", help="print the 38-entry sink catalog (Table VII)")
     sinks.add_argument("--category", default=None, help="filter by category")
@@ -355,6 +350,10 @@ def _check_cpg(tabby: Tabby) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.refine and "guards" in args.refine:
+        print("error: --refine guards judges chains and persists nothing; "
+              "use it with 'tabby chains' or 'tabby diff'", file=sys.stderr)
+        return 2
     output = args.output
     if output is None:
         output = "tabby.cpg.json.gz" if args.format == "json" else "tabby.cpg"
@@ -416,7 +415,6 @@ def _cmd_chains(args: argparse.Namespace) -> int:
             flag for flag, on in (
                 ("--verify", args.verify),
                 ("--payload", args.payload),
-                ("--refine-guards", args.refine_guards),
                 ("--refine", args.refine),
                 ("--check-cpg", args.check_cpg),
             ) if on
@@ -439,22 +437,13 @@ def _cmd_chains(args: argparse.Namespace) -> int:
     chains = tabby.find_gadget_chains(
         max_depth=args.max_depth,
         source_filter=args.source_filter,
-        refine_guards=args.refine_guards,
         refine=args.refine,
         optimize=not args.baseline_search,
     )
-    refining = args.refine_guards or args.refine
-    if args.refine_guards:
+    refined = tabby.last_refine
+    if refined is not None:
         # stderr so the refinement note composes with --json pipelines
-        guard_refuted = sum(
-            1 for _, r in tabby.last_refutations if r.kind == "constant-guard"
-        )
-        print(
-            f"guard refinement: {guard_refuted} chain(s) refuted",
-            file=sys.stderr,
-        )
-    if args.refine:
-        stats = tabby.last_refine.statistics
+        stats = refined.statistics
         by_kind = ", ".join(
             f"{kind}: {count}"
             for kind, count in sorted(stats["refuted_by_kind"].items())
@@ -465,9 +454,8 @@ def _cmd_chains(args: argparse.Namespace) -> int:
             f"{stats['unknown']} unknown",
             file=sys.stderr,
         )
-    if refining and tabby.last_refutations:
         # the verdict table: which hop died and why, one line per chain
-        for chain, reason in tabby.last_refutations:
+        for chain, reason in refined.refuted:
             print(
                 f"  refuted [{reason.kind}] {reason.caller} -> "
                 f"{reason.callee} (step {reason.step_index}): {reason.detail}",
@@ -490,22 +478,9 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 
         synthesizer = PayloadSynthesizer(classes)
     if args.json:
-        verdict_of = {}
-        if tabby.last_refine is not None:
-            verdict_of = {
-                chain.key: verdict.status
-                for chain, verdict in zip(
-                    tabby.last_refine.chains, tabby.last_refine.verdicts
-                )
-            }
         payload = []
         for chain in chains:
-            record = {
-                "steps": [s.qualified for s in chain.steps],
-                "sink_category": chain.sink_category,
-            }
-            if chain.key in verdict_of:
-                record["verdict"] = verdict_of[chain.key]
+            record = chain_record(chain)
             if verifier is not None:
                 record["effective"] = verifier.verify(chain).effective
             if synthesizer is not None:
@@ -514,23 +489,15 @@ def _cmd_chains(args: argparse.Namespace) -> int:
                 except VerificationError as exc:
                     record["payload_error"] = str(exc)
             payload.append(record)
-        if refining:
-            # refinement runs emit an object so refuted chains travel
-            # with their reasons; the plain list shape is unchanged
-            # for unrefined runs
+        if refined is not None:
+            # refinement runs emit an object so every chain's verdict
+            # travels with the kept list; the plain list shape is
+            # unchanged for unrefined runs
             document = {
                 "chains": payload,
-                "refuted": [
-                    {
-                        "steps": [s.qualified for s in chain.steps],
-                        "sink_category": chain.sink_category,
-                        "refutation": reason.as_dict(),
-                    }
-                    for chain, reason in tabby.last_refutations
-                ],
+                "verdicts": refined.records(),
+                "refinement": refined.statistics,
             }
-            if tabby.last_refine is not None:
-                document["refinement"] = tabby.last_refine.statistics
             print(json.dumps(document, indent=2))
         else:
             print(json.dumps(payload, indent=2))
@@ -572,7 +539,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         _classes_of(args.new),
         max_depth=args.max_depth,
         source_filter=args.source_filter,
-        refine_guards=args.refine_guards,
         refine=args.refine,
     )
     document = diff_to_dict(diff)
@@ -590,11 +556,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print(chain.render())
         if diff.appeared_verdicts is not None:
             verdict = diff.appeared_verdicts[index - 1]
-            if verdict is not None:
-                note = verdict["status"]
-                if "refutation" in verdict:
-                    note += f" ({verdict['refutation']['kind']})"
-                print(f"verdict: {note}")
+            note = verdict["status"]
+            if "refutation" in verdict:
+                note += f" ({verdict['refutation']['kind']})"
+            print(f"verdict: {note}")
     for index, chain in enumerate(diff.disappeared, start=1):
         steps = " -> ".join(s.qualified for s in chain.steps)
         print(f"--- disappeared #{index} [{chain.sink_category}]: {steps}")
@@ -694,7 +659,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             components=args.components,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            refine_guards=args.refine_guards,
+            refine=args.refine,
         )))
     elif args.table == "table10":
         print(bench.format_table_x(bench.run_table_x()))

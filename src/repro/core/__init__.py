@@ -10,7 +10,8 @@
 * :mod:`repro.core.parallel` — sharded summary construction
 * :mod:`repro.core.summary_cache` — persistent per-class summary cache
 * :mod:`repro.core.cpg_check` — structural CPG verification
-* :mod:`repro.core.refine` — opt-in guard-feasibility chain refinement
+* :mod:`repro.core.refine` — guard-feasibility analysis (the ``guards``
+  refinement mode)
 * :mod:`repro.core.api` — the :class:`Tabby` facade
 """
 
@@ -30,11 +31,7 @@ from repro.core.controllability import (
 from repro.core.cpg import CPG, CPGBuilder, CPGStatistics
 from repro.core.cpg_check import CPGCheckIssue, verify_cpg
 from repro.core.parallel import ParallelConfig, available_cpus
-from repro.core.refine import (
-    GuardFeasibilityRefiner,
-    RefutationReason,
-    refine_chains,
-)
+from repro.core.refine import GuardFeasibilityRefiner, RefutationReason
 from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
 from repro.core.sinks import DEFAULT_SINKS, SinkCatalog, SinkMethod
 from repro.core.sources import SourceCatalog
@@ -63,7 +60,6 @@ __all__ = [
     "verify_cpg",
     "GuardFeasibilityRefiner",
     "RefutationReason",
-    "refine_chains",
     "GadgetChainFinder",
     "SearchStatistics",
     "GadgetChain",

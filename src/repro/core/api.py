@@ -32,7 +32,6 @@ from repro.core.cpg import (
 )
 from repro.core.cpg_check import CPGCheckIssue, verify_cpg
 from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
-from repro.core.refine import GuardFeasibilityRefiner
 from repro.core.sinks import SinkCatalog, SinkMethod
 from repro.core.sources import SourceCatalog
 from repro.errors import AnalysisError
@@ -72,11 +71,8 @@ class Tabby:
         self._cpg: Optional[CPG] = None
         #: diagnostics from the last find_gadget_chains() run
         self.last_search_stats = SearchStatistics()
-        #: chains dropped by the last refined run (guard + verdict layer)
-        self.last_refuted: List[GadgetChain] = []
-        #: the same chains paired with why each one was refuted
-        self.last_refutations: List[tuple] = []
-        #: full verdict layer output (RefinementResult) when refine= ran
+        #: the verdict of every chain of the last refined run (a
+        #: RefinementResult), None when refine= was not set
         self.last_refine = None
 
     # -- input -------------------------------------------------------------
@@ -150,7 +146,6 @@ class Tabby:
         follow_alias: bool = True,
         max_results_per_sink: Optional[int] = 200,
         uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH,
-        refine_guards: bool = False,
         refine: Optional[Sequence[str]] = None,
         skip_rta_dead: bool = False,
         optimize: bool = True,
@@ -158,19 +153,20 @@ class Tabby:
     ) -> List[GadgetChain]:
         """Run the tabby-path-finder search over the CPG.
 
-        ``refine_guards=True`` additionally drops chains whose
-        connecting call sites sit behind constant-false guards (see
-        :mod:`repro.core.refine`).  ``refine=("rta", "taint")`` layers
-        the whole-CPG verdict engine on top (see
-        :mod:`repro.analysis`): RTA type-reachability plus
-        field-sensitive taint summaries, each refuting chains only on
-        a sound argument (UNKNOWN never refutes).  Both are off by
-        default: refinement is an extension beyond the paper pipeline
-        and the refined list is always a verbatim subset of the
-        unrefined one.  Refuted chains land in :attr:`last_refuted`,
-        with their :class:`~repro.core.refine.RefutationReason` in
-        :attr:`last_refutations` and the full verdict layer output in
-        :attr:`last_refine`.
+        ``refine`` names refinement modes for
+        :class:`~repro.analysis.chain_refiner.ChainRefiner`:
+        ``"guards"`` drops chains whose connecting call sites sit
+        behind constant-false guards (:mod:`repro.core.refine`),
+        ``"rta"`` and ``"taint"`` add RTA type-reachability and
+        field-sensitive taint summaries (:mod:`repro.analysis`), each
+        refuting chains only on a sound argument (UNKNOWN never
+        refutes).  Refinement is off by default — an extension beyond
+        the paper pipeline — and the refined list is always a verbatim
+        subset of the unrefined one.  Every chain's verdict, refuted
+        ones with their :class:`~repro.core.refine.RefutationReason`,
+        lands in :attr:`last_refine`.  Refinement needs the class
+        hierarchy, so it raises :class:`AnalysisError` on a
+        snapshot-loaded CPG.
 
         ``skip_rta_dead=True`` makes the *search itself* skip edges
         annotated by :meth:`annotate_rta` — a performance device whose
@@ -186,10 +182,14 @@ class Tabby:
         kept in :attr:`last_search_stats`.
         """
         cpg = self.build_cpg()
-        if refine and not cpg.hierarchy.classes:
-            raise AnalysisError(
-                "refine= needs the class hierarchy; a snapshot-loaded CPG "
-                "carries none (re-add the classes via add_classes/add_jar)"
+        refiner = None
+        if refine:
+            # local import: repro.analysis itself imports core submodules
+            from repro.analysis.chain_refiner import ChainRefiner
+
+            # built before the search so a snapshot-loaded CPG fails fast
+            refiner = ChainRefiner(
+                cpg.hierarchy, modes=tuple(refine), cache_dir=self.cache_dir
             )
         finder = GadgetChainFinder(
             cpg,
@@ -203,24 +203,10 @@ class Tabby:
         )
         chains = finder.find_chains(source_filter=source_filter)
         self.last_search_stats = finder.last_search_stats
-        self.last_refuted = []
-        self.last_refutations = []
         self.last_refine = None
-        if refine_guards:
-            refiner = GuardFeasibilityRefiner(cpg.hierarchy)
-            chains, guard_refuted = refiner.refine_with_reasons(chains)
-            self.last_refutations.extend(guard_refuted)
-        if refine:
-            # local import: repro.analysis itself imports core submodules
-            from repro.analysis.chain_refiner import ChainRefiner
-
-            result = ChainRefiner(
-                cpg.hierarchy, modes=tuple(refine), cache_dir=self.cache_dir
-            ).refine(chains)
-            self.last_refine = result
-            self.last_refutations.extend(result.refuted)
-            chains = result.kept
-        self.last_refuted = [chain for chain, _ in self.last_refutations]
+        if refiner is not None:
+            self.last_refine = refiner.refine(chains)
+            chains = self.last_refine.kept
         return chains
 
     def diff_versions(
@@ -233,7 +219,6 @@ class Tabby:
         follow_alias: bool = True,
         max_results_per_sink: Optional[int] = 200,
         uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH,
-        refine_guards: bool = False,
         refine: Optional[Sequence[str]] = None,
         optimize: bool = True,
     ):
@@ -243,9 +228,9 @@ class Tabby:
         :class:`~repro.core.incremental.IncrementalAnalyzer` (output
         bit-identical to a cold rebuild), and partitions the chains
         into appeared/disappeared/survived
-        (:class:`~repro.core.incremental.ChainDiff`).  When
-        ``refine_guards``/``refine`` are set, the verdict layer runs
-        over the *appeared* chains only — the new attack surface.
+        (:class:`~repro.core.incremental.ChainDiff`).  When ``refine``
+        names modes, the verdict layer runs over the *appeared* chains
+        only — the new attack surface.
 
         Afterwards this instance holds the NEW version's CPG, so
         :meth:`query`/:meth:`save_cpg` operate on the updated graph.
@@ -278,13 +263,9 @@ class Tabby:
         result = session.update(list(new_classes))
         diff = diff_chains(old_chains, result.chains)
         diff.statistics = result.statistics
-        if refine_guards or refine:
+        if refine:
             apply_refinement_verdicts(
-                diff,
-                session.hierarchy,
-                refine_guards=refine_guards,
-                refine=refine,
-                cache_dir=self.cache_dir,
+                diff, session.hierarchy, refine, cache_dir=self.cache_dir
             )
         self._classes = list(session.classes)
         self._cpg = session.cpg
@@ -332,7 +313,7 @@ class Tabby:
         supports :meth:`query` and :meth:`find_gadget_chains`
         immediately — the §IV-F warm-start workflow — but carries no
         class hierarchy, so features that need the original classes
-        (``refine_guards``, verification, payload synthesis) require
+        (``refine``, verification, payload synthesis) require
         re-adding them via :meth:`add_classes`/:meth:`add_jar` (which
         discards the loaded CPG and rebuilds).
         """

@@ -12,9 +12,15 @@ a sink method (Table I).  Chains render in the paper's stack format::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["ChainStep", "GadgetChain", "dedupe_chains", "filter_by_package"]
+__all__ = [
+    "ChainStep",
+    "GadgetChain",
+    "chain_record",
+    "dedupe_chains",
+    "filter_by_package",
+]
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,18 @@ class GadgetChain:
     def __repr__(self) -> str:
         arrow = " -> ".join(s.qualified for s in self.steps)
         return f"<GadgetChain {arrow}>"
+
+
+def chain_record(chain: GadgetChain, with_key: bool = False) -> Dict[str, Any]:
+    """The JSON record of one chain — the ``tabby chains --json`` and
+    serve ``/chains`` element.  Verdict records add ``status`` and
+    ``refutation``; ``tabby diff`` records add the (class, method,
+    arity) ``key``."""
+    record: Dict[str, Any] = {"steps": [s.qualified for s in chain.steps]}
+    if with_key:
+        record["key"] = [list(step_key) for step_key in chain.key]
+    record["sink_category"] = chain.sink_category
+    return record
 
 
 def dedupe_chains(chains: Iterable[GadgetChain]) -> List[GadgetChain]:

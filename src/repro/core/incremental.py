@@ -51,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.chains import GadgetChain, dedupe_chains
+from repro.core.chains import GadgetChain, chain_record, dedupe_chains
 from repro.core.controllability import ControllabilityAnalysis, MethodSummary
 from repro.core.cpg import (
     ALIAS,
@@ -194,7 +194,8 @@ class ChainDiff:
 
     Identity is :attr:`GadgetChain.key` — the (class, method, arity)
     step sequence.  ``appeared_verdicts`` is filled (aligned with
-    ``appeared``) when the refinement verdict layer ran.
+    ``appeared``) when the refinement verdict layer ran: each row is a
+    :meth:`~repro.analysis.chain_refiner.ChainVerdict.as_dict` document.
     """
 
     appeared: List[GadgetChain]
@@ -202,7 +203,7 @@ class ChainDiff:
     survived: List[GadgetChain]
     old_total: int
     new_total: int
-    appeared_verdicts: Optional[List[Optional[Dict[str, Any]]]] = None
+    appeared_verdicts: Optional[List[Dict[str, Any]]] = None
     statistics: Optional[IncrementalStatistics] = None
 
 
@@ -225,72 +226,37 @@ def diff_chains(
 def apply_refinement_verdicts(
     diff: ChainDiff,
     hierarchy: ClassHierarchy,
-    refine_guards: bool = False,
-    refine: Optional[Sequence[str]] = None,
+    refine: Sequence[str],
     cache_dir: Optional[str] = None,
 ) -> ChainDiff:
-    """Run the verdict layer over the *appeared* chains only.
+    """Run the verdict layer (``refine`` modes) over the *appeared*
+    chains only.
 
     Survived chains were already reported by the old version and
     disappeared chains no longer exist, so only the new arrivals need a
     feasibility verdict.  Populates ``diff.appeared_verdicts`` in place
-    (one row per appeared chain; ``None`` rows mean no layer touched
-    that chain) and returns the diff.
+    (one row per appeared chain) and returns the diff.
     """
-    rows: Dict[Tuple, Dict[str, Any]] = {}
-    chains: List[GadgetChain] = list(diff.appeared)
-    if refine_guards:
-        from repro.core.refine import GuardFeasibilityRefiner
+    from repro.analysis.chain_refiner import ChainRefiner
 
-        kept, refuted = GuardFeasibilityRefiner(hierarchy).refine_with_reasons(
-            chains
-        )
-        for chain, reason in refuted:
-            rows[chain.key] = {
-                "status": "refuted",
-                "refutation": reason.as_dict(),
-            }
-        chains = kept
-    if refine:
-        from repro.analysis.chain_refiner import ChainRefiner
-
-        result = ChainRefiner(
-            hierarchy, modes=tuple(refine), cache_dir=cache_dir
-        ).refine(chains)
-        for chain, verdict in zip(result.chains, result.verdicts):
-            rows[chain.key] = {"status": verdict.status}
-        for chain, reason in result.refuted:
-            rows[chain.key] = {
-                "status": "refuted",
-                "refutation": reason.as_dict(),
-            }
-    diff.appeared_verdicts = [rows.get(c.key) for c in diff.appeared]
+    result = ChainRefiner(
+        hierarchy, modes=tuple(refine), cache_dir=cache_dir
+    ).refine(diff.appeared)
+    diff.appeared_verdicts = [verdict.as_dict() for verdict in result.verdicts]
     return diff
-
-
-def _chain_record(chain: GadgetChain) -> Dict[str, Any]:
-    return {
-        "steps": [s.qualified for s in chain.steps],
-        "key": [[s.class_name, s.method_name, s.arity] for s in chain.steps],
-        "sink_category": chain.sink_category,
-    }
 
 
 def diff_to_dict(diff: ChainDiff) -> Dict[str, Any]:
     """The versioned ``tabby diff`` JSON document."""
-    appeared: List[Dict[str, Any]] = []
-    for index, chain in enumerate(diff.appeared):
-        record = _chain_record(chain)
-        if diff.appeared_verdicts is not None:
-            verdict = diff.appeared_verdicts[index]
-            if verdict is not None:
-                record.update(verdict)
-        appeared.append(record)
+    appeared = [chain_record(c, with_key=True) for c in diff.appeared]
+    if diff.appeared_verdicts is not None:
+        for record, verdict in zip(appeared, diff.appeared_verdicts):
+            record.update(verdict)
     document: Dict[str, Any] = {
         "schema": DIFF_SCHEMA_VERSION,
         "appeared": appeared,
-        "disappeared": [_chain_record(c) for c in diff.disappeared],
-        "survived": [_chain_record(c) for c in diff.survived],
+        "disappeared": [chain_record(c, with_key=True) for c in diff.disappeared],
+        "survived": [chain_record(c, with_key=True) for c in diff.survived],
         "summary": {
             "appeared": len(diff.appeared),
             "disappeared": len(diff.disappeared),

@@ -1,4 +1,4 @@
-"""Opt-in guard-feasibility refinement of gadget chains.
+"""Guard-feasibility analysis: the ``guards`` refinement mode.
 
 Tabby's dominant false-positive class (~33%, paper §IV-E) is the chain
 that is structurally sound but dynamically dead: a hop sits behind a
@@ -9,8 +9,8 @@ compare only constants — including loads of static fields provably
 stuck at their default value (never stored anywhere in the analyzed
 program, no ``<clinit>``).
 
-:class:`GuardFeasibilityRefiner` post-filters a chain list.  A chain is
-*refuted* only under a deliberately conservative rule:
+:meth:`GuardFeasibilityRefiner.chain_refutation` judges one chain under
+a deliberately conservative rule:
 
 * for a hop ``A --CALL--> B``, find the call sites in A's body whose
   callee name and arity match B;
@@ -24,16 +24,17 @@ True chains pass a payload through attacker-controlled *instance*
 fields, which the analysis treats as non-constant, so their guards stay
 feasible — the refinement can only remove chains whose guards compare
 constants (zero false-negative cost on the shipped corpus, asserted by
-tests).  This is an **extension beyond the paper**: it is off by
-default everywhere (``--refine-guards`` on the CLI,
-``refine_guards=`` in :meth:`repro.core.api.Tabby.find_gadget_chains`)
+tests).  This is an **extension beyond the paper**: it runs as the
+first mode of :class:`repro.analysis.chain_refiner.ChainRefiner`, off
+by default everywhere (``--refine guards`` on the CLI,
+``refine=("guards",)`` in :meth:`repro.core.api.Tabby.find_gadget_chains`)
 so Table IX output stays bit-identical to the paper pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.chains import GadgetChain
 from repro.jvm import dataflow as df
@@ -42,7 +43,7 @@ from repro.jvm.cfg import ControlFlowGraph, build_cfg
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.model import JavaMethod
 
-__all__ = ["GuardFeasibilityRefiner", "RefutationReason", "refine_chains"]
+__all__ = ["GuardFeasibilityRefiner", "RefutationReason"]
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,6 @@ class GuardFeasibilityRefiner:
             f"statically infeasible: {self._render_guard(caller)}"
         )
 
-    def _hop_is_dead(
-        self, caller: JavaMethod, callee_name: str, callee_arity: int
-    ) -> bool:
-        """True iff every matching call site in ``caller`` is infeasible."""
-        return self._hop_refutation(caller, callee_name, callee_arity) is not None
-
     # -- chain refinement -----------------------------------------------------
 
     def chain_refutation(self, chain: GadgetChain) -> Optional[RefutationReason]:
@@ -210,35 +205,3 @@ class GuardFeasibilityRefiner:
                     detail=detail,
                 )
         return None
-
-    def chain_is_refuted(self, chain: GadgetChain) -> bool:
-        """True iff some CALL hop of ``chain`` is provably dead."""
-        return self.chain_refutation(chain) is not None
-
-    def refine_with_reasons(
-        self, chains: Sequence[GadgetChain]
-    ) -> Tuple[List[GadgetChain], List[Tuple[GadgetChain, RefutationReason]]]:
-        """Partition into (kept, [(refuted, reason), ...]), preserving order."""
-        kept: List[GadgetChain] = []
-        refuted: List[Tuple[GadgetChain, RefutationReason]] = []
-        for chain in chains:
-            reason = self.chain_refutation(chain)
-            if reason is None:
-                kept.append(chain)
-            else:
-                refuted.append((chain, reason))
-        return kept, refuted
-
-    def refine(
-        self, chains: Sequence[GadgetChain]
-    ) -> Tuple[List[GadgetChain], List[GadgetChain]]:
-        """Partition ``chains`` into (kept, refuted), preserving order."""
-        kept, refuted = self.refine_with_reasons(chains)
-        return kept, [chain for chain, _reason in refuted]
-
-
-def refine_chains(
-    chains: Sequence[GadgetChain], hierarchy: ClassHierarchy
-) -> Tuple[List[GadgetChain], List[GadgetChain]]:
-    """Convenience wrapper: one-shot (kept, refuted) partition."""
-    return GuardFeasibilityRefiner(hierarchy).refine(chains)

@@ -20,7 +20,7 @@ Four concrete analyses ship with the engine:
   The engine only propagates along edges the analysis declares
   feasible (:meth:`DataflowAnalysis.feasible_successors`), so blocks
   guarded by statically-false conditions stay unreached — the fact the
-  lint guard rules and the opt-in ``--refine-guards`` chain refinement
+  lint guard rules and the opt-in ``--refine guards`` chain refinement
   are built on.
 
 Backward analyses and the missing-exit blind spot

@@ -11,8 +11,9 @@ Routes::
                                     (CPGStatistics/SearchStatistics rows)
     GET    /jobs/<id>/chains        the found gadget chains
     GET    /jobs/<id>/lint          lint issues for the submitted classes
-    GET    /jobs/<id>/verdicts      refinement verdicts + refutation reasons
-                                    (empty unless options.refine/-guards set)
+    GET    /jobs/<id>/verdicts      one verdict record per chain, in search
+                                    order, + refinement statistics (empty
+                                    unless options.refine names modes)
     GET    /jobs/<id>/diff          the tabby-diff/v1 document (diff jobs:
                                     {"diff": {"old": ..., "new": ...}})
     GET    /jobs/<id>/query?q=...   a Cypher-subset query over the job's CPG

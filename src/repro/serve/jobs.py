@@ -37,11 +37,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.api import Tabby
+from repro.core.chains import chain_record
 from repro.core.cpg import CLASS_LABEL, CPG, METHOD_LABEL, CPGStatistics
 from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
 from repro.errors import ReproError
+from repro.graphdb import fingerprint_digest
 from repro.graphdb.mvcc import VersionedGraph, version_of
 from repro.graphdb.storage import load_graph, open_graph
 from repro.jvm.hierarchy import ClassHierarchy
@@ -55,7 +57,6 @@ __all__ = [
     "Submission",
     "normalize_submission",
     "resolve_classes",
-    "fingerprint_digest",
 ]
 
 _SENTINEL = object()
@@ -157,7 +158,7 @@ def normalize_submission(
             )
         if body["live"] is not True:
             raise ValueError("'live' must be the JSON literal true")
-        if options["refine"] or options["refine_guards"]:
+        if options["refine"]:
             raise ValueError(
                 "live jobs cannot refine: the shared CPG carries no class "
                 "hierarchy (rebuild from classes/components instead)"
@@ -176,7 +177,7 @@ def normalize_submission(
 
     if kinds_present == ["snapshot"]:
         path = _resolve_snapshot(body["snapshot"], snapshot_dir)
-        if options["refine"] or options["refine_guards"]:
+        if options["refine"]:
             raise ValueError(
                 "snapshot jobs cannot refine: a persisted CPG carries no "
                 "class hierarchy (rebuild from classes/components instead)"
@@ -284,21 +285,6 @@ def resolve_classes(submission: Submission) -> List[Any]:
     return classes
 
 
-def fingerprint_digest(graph: Any) -> str:
-    """A stable digest of :func:`repro.graphdb.snapshot.graph_fingerprint`.
-
-    The CPG build is deterministic, so recomputing a submission yields
-    a byte-identical fingerprint — the identity the cache-vs-recompute
-    equivalence tests compare.  Delegates to the graphdb implementation,
-    which memoises the digest on frozen (committed MVCC) graphs — the
-    ``/stats`` live block and repeat live jobs pay the O(graph) walk
-    once per committed version.
-    """
-    from repro.graphdb.snapshot import fingerprint_digest as digest
-
-    return digest(graph)
-
-
 class LiveGraph:
     """The shared, MVCC-versioned CPG behind ``tabby serve --live``.
 
@@ -382,6 +368,11 @@ class LiveGraph:
             "fingerprint": fingerprint_digest(graph),
             "refreshes": self.refreshes,
         }
+
+
+def _refine_modes(options: Dict[str, Any]) -> Optional[Tuple[str, ...]]:
+    """The canonical ``options.refine`` string as ``refine=`` modes."""
+    return tuple(options["refine"].split(",")) if options["refine"] else None
 
 
 def _cpg_row(stats: CPGStatistics) -> Dict[str, Any]:
@@ -680,58 +671,23 @@ class JobManager:
         cpg = tabby.build_cpg()
         job.progress["cpg"] = _cpg_row(cpg.statistics)
         job.phase = "search"
-        refine_modes = tuple(
-            m for m in options["refine"].split(",") if m
-        ) or None
         chains = tabby.find_gadget_chains(
             max_depth=options["max_depth"],
             source_filter=options["source_filter"],
-            refine_guards=options["refine_guards"],
-            refine=refine_modes,
+            refine=_refine_modes(options),
         )
         job.progress["search"] = _search_row(tabby.last_search_stats)
-        verdict_records: List[Dict[str, Any]] = []
-        refine_stats: Dict[str, Any] = {}
-        if options["refine_guards"] or refine_modes:
-            job.phase = "refine"
-            verdict_records = [
-                {
-                    "steps": [s.qualified for s in chain.steps],
-                    "sink_category": chain.sink_category,
-                    "status": "refuted",
-                    "refutation": reason.as_dict(),
-                }
-                for chain, reason in tabby.last_refutations
-            ]
-            if tabby.last_refine is not None:
-                refine_stats = tabby.last_refine.statistics
-                verdict_records.extend(
-                    {
-                        "steps": [s.qualified for s in chain.steps],
-                        "sink_category": chain.sink_category,
-                        "status": verdict.status,
-                    }
-                    for chain, verdict in zip(
-                        tabby.last_refine.chains, tabby.last_refine.verdicts
-                    )
-                    if verdict.status != "refuted"
-                )
+        refined = tabby.last_refine
         job.phase = "lint"
         lint_records = [issue.to_dict() for issue in lint_classes(classes)]
         job.phase = "fingerprint"
         digest = fingerprint_digest(cpg.graph)
         return JobResult(
             key=job.key,
-            chain_records=[
-                {
-                    "steps": [s.qualified for s in chain.steps],
-                    "sink_category": chain.sink_category,
-                }
-                for chain in chains
-            ],
+            chain_records=[chain_record(chain) for chain in chains],
             lint_records=lint_records,
-            verdict_records=verdict_records,
-            refine_stats=refine_stats,
+            verdict_records=refined.records() if refined is not None else [],
+            refine_stats=refined.statistics if refined is not None else {},
             graph=cpg.graph,
             fingerprint=digest,
             cpg_row=job.progress["cpg"],
@@ -775,16 +731,12 @@ class JobManager:
             cache_dir=self.cache_dir,
         )
         job.phase = "diff"
-        refine_modes = tuple(
-            m for m in options["refine"].split(",") if m
-        ) or None
         diff = tabby.diff_versions(
             old_classes,
             new_classes,
             max_depth=options["max_depth"],
             source_filter=options["source_filter"],
-            refine_guards=options["refine_guards"],
-            refine=refine_modes,
+            refine=_refine_modes(options),
         )
         record = diff_to_dict(diff)
         job.progress["diff"] = record["summary"]
@@ -895,13 +847,7 @@ class JobManager:
                 digest.update(block)
         return JobResult(
             key=job.key,
-            chain_records=[
-                {
-                    "steps": [s.qualified for s in chain.steps],
-                    "sink_category": chain.sink_category,
-                }
-                for chain in chains
-            ],
+            chain_records=[chain_record(chain) for chain in chains],
             graph=cpg.graph,
             fingerprint=digest.hexdigest(),
             cpg_row=job.progress["cpg"],
@@ -939,13 +885,7 @@ class JobManager:
         digest = fingerprint_digest(graph)
         return JobResult(
             key=job.key,
-            chain_records=[
-                {
-                    "steps": [s.qualified for s in chain.steps],
-                    "sink_category": chain.sink_category,
-                }
-                for chain in chains
-            ],
+            chain_records=[chain_record(chain) for chain in chains],
             graph=graph,
             fingerprint=digest,
             cpg_row=job.progress["cpg"],

@@ -54,7 +54,6 @@ OPTION_DEFAULTS: Dict[str, Any] = {
     "sources": "extended",
     "max_depth": 12,
     "source_filter": None,
-    "refine_guards": False,
     "refine": "",
 }
 
@@ -79,22 +78,22 @@ def canonical_options(options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         merged["source_filter"], str
     ):
         raise ValueError("options.source_filter must be a string or null")
-    if not isinstance(merged["refine_guards"], bool):
-        raise ValueError("options.refine_guards must be a boolean")
     if not isinstance(merged["refine"], str):
         raise ValueError(
             "options.refine must be a comma-separated string of modes"
         )
-    from repro.analysis.chain_refiner import REFINE_MODES
+    if merged["refine"].strip():
+        from repro.analysis.chain_refiner import parse_refine_modes
 
-    modes = tuple(m.strip() for m in merged["refine"].split(",") if m.strip())
-    if any(m not in REFINE_MODES for m in modes):
-        raise ValueError(
-            f"options.refine modes must be drawn from {REFINE_MODES}"
-        )
-    # canonical spelling so "taint,rta", "rta, taint" and "rta,taint"
-    # all share one cache key
-    merged["refine"] = ",".join(m for m in REFINE_MODES if m in modes)
+        try:
+            modes = parse_refine_modes(merged["refine"])
+        except ValueError as exc:
+            raise ValueError(f"options.refine: {exc}")
+        # canonical spelling so "taint,rta", "rta, taint" and "rta,taint"
+        # all share one cache key
+        merged["refine"] = ",".join(modes)
+    else:
+        merged["refine"] = ""
     return merged
 
 

@@ -12,6 +12,11 @@ from repro.jvm.hierarchy import ClassHierarchy
 from repro.verify import ChainVerifier
 
 
+#: the whole-CPG modes; the ``guards`` mode is covered by
+#: tests/core/test_refine.py
+WHOLE_CPG = ("rta", "taint")
+
+
 def _component(name):
     spec = build_component(name)
     classes = build_lang_base() + spec.classes
@@ -47,14 +52,15 @@ class TestConstruction:
 
     def test_mode_order_is_canonical(self):
         hierarchy = ClassHierarchy(build_lang_base())
-        refiner = ChainRefiner(hierarchy, modes=("taint", "rta"))
-        assert refiner.modes == REFINE_MODES
+        refiner = ChainRefiner(hierarchy, modes=("taint", "guards", "rta"))
+        assert refiner.modes == REFINE_MODES == ("guards", "rta", "taint")
+        assert ChainRefiner(hierarchy).modes == REFINE_MODES
 
 
 class TestDecoyRefutation:
     def test_cc3_rta_decoy_is_refuted(self, cc3):
         spec, classes, tabby, chains = cc3
-        result = ChainRefiner(tabby.cpg.hierarchy).refine(chains)
+        result = ChainRefiner(tabby.cpg.hierarchy, WHOLE_CPG).refine(chains)
         assert result.statistics["refuted_by_kind"] == {
             "rta-dead-dispatch": 1
         }
@@ -67,7 +73,7 @@ class TestDecoyRefutation:
 
     def test_hibernate_taint_decoy_is_refuted(self, hibernate):
         spec, classes, tabby, chains = hibernate
-        result = ChainRefiner(tabby.cpg.hierarchy).refine(chains)
+        result = ChainRefiner(tabby.cpg.hierarchy, WHOLE_CPG).refine(chains)
         assert result.statistics["refuted_by_kind"] == {"untainted-sink": 1}
         ((chain, reason),) = result.refuted
         assert chain.steps[0].class_name.endswith("UpdateTimestampsCache")
@@ -76,17 +82,32 @@ class TestDecoyRefutation:
     def test_decoys_escape_the_guard_pass(self, cc3, hibernate):
         """The planted decoys carry no constant guard: only whole-CPG
         refinement can explain them (the >= 1-beyond-guard gate)."""
-        from repro.core.refine import GuardFeasibilityRefiner
-
         for spec, classes, tabby, chains in (cc3, hibernate):
-            guard_kept, _ = GuardFeasibilityRefiner(
-                tabby.cpg.hierarchy
-            ).refine(chains)
+            guard_kept = ChainRefiner(
+                tabby.cpg.hierarchy, modes=("guards",)
+            ).refine(chains).kept
             guard_keys = {c.key for c in guard_kept}
             for chain, _reason in ChainRefiner(
-                tabby.cpg.hierarchy
+                tabby.cpg.hierarchy, WHOLE_CPG
             ).refine(chains).refuted:
                 assert chain.key in guard_keys
+
+    def test_all_modes_keep_each_pass_reason(self, cc3):
+        """One pass over every mode refutes the union of the single-mode
+        refutations, and the guard pass, which runs first, names the
+        reason wherever it applies."""
+        spec, classes, tabby, chains = cc3
+        hierarchy = tabby.cpg.hierarchy
+        guards = ChainRefiner(hierarchy, modes=("guards",)).refine(chains)
+        whole = ChainRefiner(hierarchy, WHOLE_CPG).refine(chains)
+        both = ChainRefiner(hierarchy).refine(chains)
+        expected = {c.key: r for c, r in whole.refuted}
+        expected.update({c.key: r for c, r in guards.refuted})
+        assert {c.key: r for c, r in both.refuted} == expected
+        assert both.statistics["refuted_by_kind"] == {
+            "constant-guard": len(guards.refuted),
+            "rta-dead-dispatch": 1,
+        }
 
 
 class TestSoundness:
@@ -121,7 +142,9 @@ class TestSoundness:
 
     def test_statistics_shape(self, cc3):
         spec, classes, tabby, chains = cc3
-        stats = ChainRefiner(tabby.cpg.hierarchy).refine(chains).statistics
+        stats = ChainRefiner(tabby.cpg.hierarchy, WHOLE_CPG).refine(
+            chains
+        ).statistics
         assert stats["modes"] == ["rta", "taint"]
         assert stats["chains"] == len(chains)
         assert stats["kept"] + stats["refuted"] + stats["unknown"] == len(chains)
@@ -156,8 +179,7 @@ class TestApiIntegration:
         assert [c.key for c in refined] == [
             c.key for c in tabby.last_refine.kept
         ]
-        assert len(tabby.last_refutations) == 1
-        assert tabby.last_refuted == [c for c, _ in tabby.last_refutations]
+        assert len(tabby.last_refine.refuted) == 1
         assert len(refined) == len(chains) - 1
 
     def test_refine_rejects_snapshot_loaded_cpg(self, cc3, tmp_path):
@@ -175,4 +197,4 @@ class TestApiIntegration:
             doc = verdict.as_dict()
             assert doc["status"] in ("kept", "refuted", "unknown")
             if verdict.reason is not None:
-                assert doc["reason"]["kind"] == verdict.reason.kind
+                assert doc["refutation"]["kind"] == verdict.reason.kind

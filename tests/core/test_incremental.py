@@ -435,7 +435,7 @@ class TestDecoyRegression:
         diff = tabby.diff_versions(
             self.build(with_decoy=False),
             self.build(with_decoy=True),
-            refine_guards=True,
+            refine=("guards",),
         )
         assert not diff.disappeared
         decoys = [
@@ -444,10 +444,7 @@ class TestDecoyRegression:
             if any(s.class_name == "app.Sleeper" for s in chain.steps)
         ]
         assert decoys, "the planted decoy chain must appear in the diff"
-        assert all(
-            verdict is not None and verdict["status"] == "refuted"
-            for _, verdict in decoys
-        )
+        assert all(verdict["status"] == "refuted" for _, verdict in decoys)
         assert all(
             verdict["refutation"]["kind"] == "constant-guard"
             for _, verdict in decoys
@@ -457,6 +454,8 @@ class TestDecoyRegression:
             r for r in document["appeared"] if r.get("status") == "refuted"
         ]
         assert refuted and all("refutation" in r for r in refuted)
+        # every appeared row carries a verdict, kept ones included
+        assert all("status" in r for r in document["appeared"])
 
     def test_without_refinement_no_verdicts(self):
         tabby = Tabby(sources=SourceCatalog.native())
@@ -474,8 +473,9 @@ class TestDecoyRegression:
             self.build(with_decoy=False), self.build(with_decoy=True)
         )
         hierarchy = ClassHierarchy(self.build(with_decoy=True))
-        apply_refinement_verdicts(diff, hierarchy, refine_guards=True)
+        apply_refinement_verdicts(diff, hierarchy, ("guards",))
         assert len(diff.appeared_verdicts) == len(diff.appeared)
+        assert all(v["status"] in ("kept", "refuted") for v in diff.appeared_verdicts)
 
 
 class TestSummaryCacheIntegration:

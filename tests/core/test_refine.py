@@ -1,4 +1,5 @@
-"""Tests for the opt-in guard-feasibility chain refinement.
+"""Tests for the opt-in guard-feasibility chain refinement (the
+``guards`` mode of :class:`ChainRefiner`).
 
 The acceptance property: with refinement OFF the chain list is
 bit-identical to the baseline pipeline; with it ON, planted
@@ -6,10 +7,14 @@ constant-guard decoys are refuted (FPR strictly drops) while every true
 chain — known or unknown-but-effective — survives (FNR unchanged).
 """
 
+import pytest
+
+from repro.analysis.chain_refiner import ChainRefiner
 from repro.bench.tables import run_table_ix_component
 from repro.core import Tabby
 from repro.core.chains import ChainStep, GadgetChain
-from repro.core.refine import GuardFeasibilityRefiner, refine_chains
+from repro.core.refine import GuardFeasibilityRefiner
+from repro.errors import AnalysisError
 from repro.corpus import build_component, build_lang_base
 from repro.jvm.builder import ProgramBuilder
 from repro.jvm.hierarchy import ClassHierarchy
@@ -58,44 +63,46 @@ def _chain(caller_method):
     )
 
 
+def _guards():
+    return GuardFeasibilityRefiner(ClassHierarchy(_guarded_program()))
+
+
 class TestRefinerUnit:
     def test_constant_guard_hop_is_refuted(self):
-        refiner = GuardFeasibilityRefiner(ClassHierarchy(_guarded_program()))
-        assert refiner.chain_is_refuted(_chain("m"))
+        assert _guards().chain_refutation(_chain("m")) is not None
 
     def test_param_guard_hop_is_kept(self):
-        refiner = GuardFeasibilityRefiner(ClassHierarchy(_guarded_program()))
-        assert not refiner.chain_is_refuted(_chain("open"))
+        assert _guards().chain_refutation(_chain("open")) is None
 
     def test_alias_hop_is_never_refuted(self):
-        refiner = GuardFeasibilityRefiner(ClassHierarchy(_guarded_program()))
         chain = GadgetChain(
             [ChainStep("t.A", "m", 0, "ALIAS"), ChainStep("t.B", "hit", 0, "")],
         )
-        assert not refiner.chain_is_refuted(chain)
+        assert _guards().chain_refutation(chain) is None
 
     def test_missing_caller_is_kept(self):
-        refiner = GuardFeasibilityRefiner(ClassHierarchy(_guarded_program()))
         chain = GadgetChain(
             [ChainStep("x.Nope", "m", 0, "CALL"), ChainStep("t.B", "hit", 0, "")],
         )
-        assert not refiner.chain_is_refuted(chain)
+        assert _guards().chain_refutation(chain) is None
 
     def test_no_matching_site_is_kept(self):
         # hop names a callee A's body never invokes — conservatively kept
-        refiner = GuardFeasibilityRefiner(ClassHierarchy(_guarded_program()))
         chain = GadgetChain(
             [ChainStep("t.A", "m", 0, "CALL"),
              ChainStep("t.B", "other", 0, "")],
         )
-        assert not refiner.chain_is_refuted(chain)
+        assert _guards().chain_refutation(chain) is None
 
     def test_refine_partition_preserves_order(self):
         classes = _guarded_program()
         chains = [_chain("open"), _chain("m"), _chain("open")]
-        kept, refuted = refine_chains(chains, ClassHierarchy(classes))
-        assert kept == [chains[0], chains[2]]
-        assert refuted == [chains[1]]
+        result = ChainRefiner(ClassHierarchy(classes), modes=("guards",)).refine(
+            chains
+        )
+        assert result.kept == [chains[0], chains[2]]
+        assert [chain for chain, _ in result.refuted] == [chains[1]]
+        assert [v.status for v in result.verdicts] == ["kept", "refuted", "kept"]
 
 
 class TestComponentRefinement:
@@ -105,9 +112,7 @@ class TestComponentRefinement:
         spec = build_component(self.COMPONENT)
         classes = build_lang_base() + spec.classes
         baseline = Tabby().add_classes(classes).find_gadget_chains()
-        again = Tabby().add_classes(classes).find_gadget_chains(
-            refine_guards=False
-        )
+        again = Tabby().add_classes(classes).find_gadget_chains(refine=None)
         assert [c.key for c in baseline] == [c.key for c in again]
 
     def test_on_refutes_decoys_and_loses_no_true_chain(self):
@@ -115,8 +120,8 @@ class TestComponentRefinement:
         classes = build_lang_base() + spec.classes
         tabby = Tabby().add_classes(classes)
         baseline = tabby.find_gadget_chains()
-        refined = tabby.find_gadget_chains(refine_guards=True)
-        refuted = tabby.last_refuted
+        refined = tabby.find_gadget_chains(refine=("guards",))
+        refuted = tabby.last_refine.refuted
         assert len(refuted) >= 1
         assert len(refined) + len(refuted) == len(baseline)
         # every known (true) chain survives refinement
@@ -125,7 +130,7 @@ class TestComponentRefinement:
         assert known_base == known_refined
 
     def test_table_ix_fpr_drops_fnr_unchanged(self):
-        result = run_table_ix_component(self.COMPONENT, refine_guards=True)
+        result = run_table_ix_component(self.COMPONENT, refine=("guards",))
         base, refined = result.tabby, result.tabby_refined
         assert refined is not None
         assert refined.fake_count < base.fake_count       # FPR strictly drops
@@ -135,7 +140,7 @@ class TestComponentRefinement:
 
     def test_table_ix_baseline_columns_unchanged(self):
         plain = run_table_ix_component(self.COMPONENT)
-        with_flag = run_table_ix_component(self.COMPONENT, refine_guards=True)
+        with_flag = run_table_ix_component(self.COMPONENT, refine=("guards",))
         assert plain.tabby_refined is None
         for attr in ("result_count", "fake_count", "known_found",
                      "unknown_count"):
@@ -170,20 +175,60 @@ class TestRefutationReasons:
         assert set(doc) == {"kind", "step_index", "caller", "callee", "detail"}
 
     def test_refine_with_reasons_matches_legacy_partition(self):
-        refiner = GuardFeasibilityRefiner(ClassHierarchy(_guarded_program()))
+        """The ``guards`` mode of the one front end refutes exactly the
+        chains the per-chain guard analysis refutes, with its reasons."""
+        hierarchy = ClassHierarchy(_guarded_program())
         chains = [_chain("open"), _chain("m"), _chain("open")]
-        kept, refuted_pairs = refiner.refine_with_reasons(chains)
-        legacy_kept, legacy_refuted = refiner.refine(chains)
-        assert kept == legacy_kept
-        assert [c for c, _r in refuted_pairs] == legacy_refuted
-        assert all(r.kind == "constant-guard" for _c, r in refuted_pairs)
+        result = ChainRefiner(hierarchy, modes=("guards",)).refine(chains)
+        analysis = GuardFeasibilityRefiner(hierarchy)
+        expected = [
+            (chain, reason)
+            for chain in chains
+            if (reason := analysis.chain_refutation(chain)) is not None
+        ]
+        assert result.refuted == expected
+        assert all(r.kind == "constant-guard" for _c, r in result.refuted)
 
     def test_api_exposes_refutation_pairs(self):
         spec = build_component("commons-collections(3.2.1)")
         classes = build_lang_base() + spec.classes
         tabby = Tabby().add_classes(classes)
-        tabby.find_gadget_chains(refine_guards=True)
-        assert tabby.last_refutations
-        assert tabby.last_refuted == [c for c, _r in tabby.last_refutations]
-        for _chain_obj, reason in tabby.last_refutations:
+        kept = tabby.find_gadget_chains(refine=("guards",))
+        assert tabby.last_refine.refuted
+        assert kept == tabby.last_refine.kept
+        for _chain_obj, reason in tabby.last_refine.refuted:
             assert reason.kind == "constant-guard"
+
+    def test_verdict_record_shape(self):
+        hierarchy = ClassHierarchy(_guarded_program())
+        chains = [_chain("open"), _chain("m")]
+        records = ChainRefiner(hierarchy, modes=("guards",)).refine(
+            chains
+        ).records()
+        assert records[0] == {
+            "steps": ["t.A.open", "t.B.hit"],
+            "sink_category": "CODE",
+            "status": "kept",
+        }
+        assert records[1]["status"] == "refuted"
+        assert records[1]["refutation"]["kind"] == "constant-guard"
+        assert list(records[1]) == [
+            "steps", "sink_category", "status", "refutation",
+        ]
+
+
+class TestSnapshotLoadedCpg:
+    """A snapshot-loaded CPG carries no class hierarchy: every mode —
+    guards included — must refuse rather than silently keep everything."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        spec = build_component("commons-collections(3.2.1)")
+        path = str(tmp_path_factory.mktemp("snap") / "cc3.cpg")
+        Tabby().add_classes(build_lang_base() + spec.classes).save_cpg(path)
+        return Tabby.load_cpg(path)
+
+    @pytest.mark.parametrize("mode", ["guards", "rta", "taint"])
+    def test_every_mode_raises(self, loaded, mode):
+        with pytest.raises(AnalysisError, match="snapshot-loaded CPG"):
+            loaded.find_gadget_chains(refine=(mode,))

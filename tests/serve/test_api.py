@@ -229,7 +229,7 @@ class TestErrorPaths:
             ({"classes": "x", "options": {"max_depth": True}}, "max_depth"),
             ({"classes": "x", "options": {"sources": "all"}}, "sources"),
             ({"classes": "x", "options": {"source_filter": 3}}, "source_filter"),
-            ({"classes": "x", "options": {"refine_guards": "yes"}}, "refine_guards"),
+            ({"classes": "x", "options": {"refine": ","}}, "options.refine"),
             ([1, 2], "JSON object"),
         ],
     )

@@ -141,8 +141,7 @@ class TestDiffJob:
                 plant_guard_decoy(pb, "sdecoy.Sleeper", "sdecoy.Config")
             return pb.build()
 
-        options = dict(NATIVE)
-        options["refine_guards"] = True
+        options = dict(NATIVE, refine="guards")
         code, doc, _ = submit_diff(
             client,
             jasm.dumps(build(False)),

@@ -132,6 +132,17 @@ class TestLiveJobs:
         )
         assert code == 400
 
+    @pytest.mark.parametrize(
+        "body", [{"live": True}, {"snapshot": "prog.cpg"}], ids=["live", "snapshot"]
+    )
+    def test_guards_refinement_is_rejected(self, client, body):
+        """Graph-only kinds carry no class hierarchy, so the guard pass
+        is refused like every other mode instead of keeping everything."""
+        code, err, _ = client.request(
+            "POST", "/jobs", dict(body, options={"refine": "guards"})
+        )
+        assert code == 400 and "cannot refine" in err["error"]
+
     def test_refresh_disabled_without_live(self, snapshot_dir):
         srv = create_server(workers=1, snapshot_dir=snapshot_dir)
         srv.run_forever_in_thread()

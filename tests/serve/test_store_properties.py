@@ -15,8 +15,9 @@ is deterministic):
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.graphdb import fingerprint_digest
 from repro.serve import JobManager, ResultStore
-from repro.serve.jobs import JobState, fingerprint_digest, normalize_submission
+from repro.serve.jobs import JobState, normalize_submission
 
 from tests.serve.bundles import gadget_bundle
 

@@ -16,6 +16,14 @@ def jar_dir(tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def guarded_jar_dir(tmp_path_factory):
+    """BeanShell1 plants two constant-guard decoys among its 3 chains."""
+    directory = str(tmp_path_factory.mktemp("guarded"))
+    assert main(["corpus", "export", directory, "--component", "BeanShell1"]) == 0
+    return directory
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -193,9 +201,7 @@ class TestSnapshotFormats:
         assert main(["chains", jar_dir, "--cpg", cpg]) == 2
         assert "incompatible" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag", ["--verify", "--payload", "--refine-guards", "--check-cpg"]
-    )
+    @pytest.mark.parametrize("flag", ["--verify", "--payload", "--check-cpg"])
     def test_chains_cpg_rejects_class_dependent_flags(self, jar_dir, tmp_path,
                                                       flag, capsys):
         cpg = str(tmp_path / "saved.cpg")
@@ -271,23 +277,57 @@ class TestCheckCpgFlag:
 
 
 class TestRefineGuardsFlag:
-    def test_chains_refine_guards(self, jar_dir, capsys):
-        assert main(["chains", jar_dir, "--refine-guards"]) == 0
+    """The ``guards`` mode of ``--refine`` on every subcommand."""
+
+    def test_chains_guards_mode(self, jar_dir, capsys):
+        assert main(["chains", jar_dir, "--refine", "guards"]) == 0
         captured = capsys.readouterr()
-        assert "chain(s) refuted" in captured.err
+        assert "refinement (guards):" in captured.err
+        assert "refuted" in captured.err
         assert "gadget chain(s) found" in captured.out
 
-    def test_bench_table9_refine_guards(self, capsys):
+    def test_chains_guards_mode_json_verdicts(self, guarded_jar_dir, capsys):
+        assert main(["chains", guarded_jar_dir, "--json"]) == 0
+        baseline = json.loads(capsys.readouterr().out)
+        assert main(["chains", guarded_jar_dir, "--refine", "guards",
+                     "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "refinement (guards): 1 kept, 2 refuted" in captured.err
+        assert captured.err.count("refuted [constant-guard]") == 2
+        doc = json.loads(captured.out)
+        verdicts = doc["verdicts"]
+        # every baseline chain gets a verdict, in search order
+        assert [v["steps"] for v in verdicts] == [c["steps"] for c in baseline]
+        refuted = [v for v in verdicts if v["status"] == "refuted"]
+        assert [v["refutation"]["kind"] for v in refuted] == ["constant-guard"] * 2
+        assert doc["refinement"]["refuted_by_kind"] == {"constant-guard": 2}
+
+    def test_chains_guards_mode_rejects_snapshot_input(self, jar_dir, tmp_path,
+                                                       capsys):
+        cpg = str(tmp_path / "saved.cpg")
+        main(["analyze", jar_dir, "-o", cpg])
+        capsys.readouterr()
+        assert main(["chains", "--cpg", cpg, "--refine", "guards"]) == 2
+        err = capsys.readouterr().err
+        assert "--refine" in err and "classpath" in err
+
+    def test_analyze_rejects_guards_mode(self, jar_dir, tmp_path, capsys):
+        cpg = str(tmp_path / "guarded.cpg")
+        assert main(["analyze", jar_dir, "-o", cpg, "--refine", "rta,guards"]) == 2
+        assert "persists nothing" in capsys.readouterr().err
+        assert not os.path.exists(cpg)
+
+    def test_bench_table9_guards_mode(self, capsys):
         assert main([
-            "bench", "table9", "--components", "BeanShell1", "--refine-guards",
+            "bench", "table9", "--components", "BeanShell1", "--refine", "guards",
         ]) == 0
         out = capsys.readouterr().out
-        assert "with --refine-guards:" in out
+        assert "with --refine guards:" in out
         assert "chain(s) refuted" in out
 
     def test_bench_table9_without_flag_has_no_refined_row(self, capsys):
         assert main(["bench", "table9", "--components", "BeanShell1"]) == 0
-        assert "with --refine-guards:" not in capsys.readouterr().out
+        assert "with --refine" not in capsys.readouterr().out
 
 
 class TestLintCommand:
@@ -412,6 +452,9 @@ class TestRefineFlag:
         args = build_parser().parse_args(["chains", "jars", "--refine",
                                           "taint,rta"])
         assert args.refine == ("rta", "taint")
+        args = build_parser().parse_args(["diff", "a", "b", "--refine",
+                                          "taint, guards"])
+        assert args.refine == ("guards", "taint")
 
     def test_chains_refine_summary(self, jar_dir, capsys):
         assert main(["chains", jar_dir, "--refine", "rta,taint"]) == 0
@@ -421,15 +464,22 @@ class TestRefineFlag:
         assert "gadget chain(s) found" in captured.out
 
     def test_chains_refine_json_object_shape(self, jar_dir, capsys):
-        assert main(["chains", jar_dir, "--refine", "rta,taint",
+        assert main(["chains", jar_dir, "--refine", "guards,rta,taint",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"chains", "refuted", "refinement"}
-        assert doc["refinement"]["modes"] == ["rta", "taint"]
-        for record in doc["chains"]:
-            assert record["verdict"] in ("kept", "unknown")
-        for record in doc["refuted"]:
-            assert record["refutation"]["kind"]
+        assert set(doc) == {"chains", "verdicts", "refinement"}
+        assert doc["refinement"]["modes"] == ["guards", "rta", "taint"]
+        # one verdict record per chain, in search order; "chains" is the
+        # kept subset in plain chain-record form
+        kept = [
+            {"steps": v["steps"], "sink_category": v["sink_category"]}
+            for v in doc["verdicts"] if v["status"] != "refuted"
+        ]
+        assert doc["chains"] == kept
+        assert len(doc["verdicts"]) == doc["refinement"]["chains"]
+        for record in doc["verdicts"]:
+            assert record["status"] in ("kept", "refuted", "unknown")
+            assert ("refutation" in record) == (record["status"] == "refuted")
 
     def test_json_stays_a_bare_list_without_refinement(self, jar_dir, capsys):
         assert main(["chains", jar_dir, "--json"]) == 0
