@@ -46,12 +46,35 @@ cache refuses to persist them.  The depth guard
 (``max_recursion_depth``) is a backstop against pathologically deep
 *acyclic* chains; if it ever fires on one, order-independence degrades
 to best-effort for the affected methods (cycles are always exact).
+
+Compiled walk
+-------------
+
+The contract re-walks every member of a recursion cluster under every
+root of that cluster, so one body may be walked dozens of times per
+analysis.  The walk is therefore compiled once and replayed:
+
+* each body is lowered into a :class:`_Plan`: its statements in CFG
+  reverse post-order as flat op tuples that carry operand local names,
+  the resolved callee and the callee's signature key;
+* each callee Action is compiled into positional (target, source) pairs
+  (:func:`_compile_action`), so composing it parses no strings and
+  builds no ``in`` map;
+* a cycle-break identity summary is one object per method, and call
+  sites skip composing it: it hands every operand its own current
+  origin back and returns ``null``, so composing it changes nothing;
+* the localMap is one field map per local plus a separate map of static
+  fields, so ``org.demo.Flags.slot`` never reads as a field of a local
+  named ``org``.
+
+Plans and compiled Actions live on the analysis instance, which is bound
+to one hierarchy; an edited body is analysed by a new instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import AnalysisError
 from repro.core.actions import (
@@ -60,14 +83,13 @@ from repro.core.actions import (
     Origin,
     THIS,
     UNCTRL,
-    calc,
     join,
     param,
 )
 from repro.jvm import ir
 from repro.jvm.cfg import build_cfg
 from repro.jvm.hierarchy import ClassHierarchy
-from repro.jvm.model import JavaMethod, MethodSignature
+from repro.jvm.model import JavaMethod
 
 __all__ = ["CallSite", "MethodSummary", "ControllabilityAnalysis"]
 
@@ -116,54 +138,195 @@ class MethodSummary:
         return [c for c in self.call_sites if not c.pruned]
 
 
-class _LocalMap:
-    """The localMap of Algorithm 1: variable and field origins.
+# -- operand specs: how a plan reads the origin of an IR value ---------------
+#
+# A localMap is three dicts: ``vars`` (local -> origin), ``fields``
+# (local -> {field -> origin}, array contents under ``[]``) and
+# ``statics`` (``Class.field`` -> origin).
 
-    Keys are syntactic, exactly as in Figure 5(c): local names
-    (``a2``), field paths (``a.b``), static paths
-    (``some.Class.flag``), and array contents (``a.[]``).
-    """
+_LOCAL, _FIELD, _STATIC, _CONST, _JOIN, _UNKNOWN = range(6)
 
-    def __init__(self) -> None:
-        self.vars: Dict[str, Origin] = {}
-        self.fields: Dict[str, Origin] = {}  # "<local>.<field>" keys
 
-    def get_var(self, name: str) -> Origin:
-        return self.vars.get(name, UNCTRL)
+def _lower_value(value: ir.Value) -> tuple:
+    """The origin spec of ``value`` (the right-hand sides of Table IV)."""
+    if isinstance(value, ir.Local):
+        return (_LOCAL, value.name)
+    if isinstance(value, ir.InstanceFieldRef):
+        return (_FIELD, value.base.name, value.field_name)
+    if isinstance(value, ir.StaticFieldRef):
+        # Table IV: Class.field -> a; only a same-body store makes it
+        # controllable, otherwise static state is not attacker data.
+        return (_STATIC, f"{value.class_name}.{value.field_name}")
+    if isinstance(value, ir.ArrayRef):
+        return (_FIELD, value.base.name, "[]")
+    if isinstance(value, ir.CastExpr):
+        return _lower_value(value.op)
+    if isinstance(value, ir.BinOpExpr):
+        return (_JOIN, _lower_value(value.left), _lower_value(value.right))
+    if isinstance(
+        value, (ir.NewExpr, ir.NewArrayExpr, ir.InstanceOfExpr, ir.Constant)
+    ):
+        return (_CONST, UNCTRL)
+    if isinstance(value, ir.ThisRef):
+        return (_CONST, THIS)
+    if isinstance(value, ir.ParamRef):
+        return (_CONST, param(value.index))
+    return (_UNKNOWN, value)
 
-    def set_var(self, name: str, origin: Origin) -> None:
-        self.vars[name] = origin
 
-    def kill_fields_of(self, name: str) -> None:
-        """A rebound local no longer aliases its old field entries."""
-        prefix = name + "."
-        for key in [k for k in self.fields if k.startswith(prefix)]:
-            del self.fields[key]
-
-    def copy_fields(self, src: str, dst: str) -> None:
-        prefix = src + "."
-        for key, origin in list(self.fields.items()):
-            if key.startswith(prefix):
-                self.fields[dst + "." + key[len(prefix) :]] = origin
-
-    def get_field(self, base: str, fieldname: str, base_origin: Origin) -> Origin:
-        """``a = b.f``: a tracked entry wins, otherwise derive from the
-        base origin (a field of attacker data is attacker data)."""
-        tracked = self.fields.get(f"{base}.{fieldname}")
+def _origin(spec: tuple, vars: dict, fields: dict, statics: dict) -> Origin:
+    code = spec[0]
+    if code == _LOCAL:
+        return vars.get(spec[1], UNCTRL)
+    if code == _FIELD:
+        # a tracked entry wins, otherwise derive from the base origin
+        # (a field of attacker data is attacker data)
+        tracked = fields.get(spec[1])
         if tracked is not None:
-            return tracked
-        return base_origin.with_field(fieldname)
+            origin = tracked.get(spec[2])
+            if origin is not None:
+                return origin
+        return vars.get(spec[1], UNCTRL).with_field(spec[2])
+    if code == _CONST:
+        return spec[1]
+    if code == _STATIC:
+        return statics.get(spec[1], UNCTRL)
+    if code == _JOIN:
+        return join(
+            _origin(spec[1], vars, fields, statics),
+            _origin(spec[2], vars, fields, statics),
+        )
+    raise AnalysisError(f"cannot compute origin of {spec[1]!r}")
 
-    def set_field(self, base: str, fieldname: str, origin: Origin) -> None:
-        self.fields[f"{base}.{fieldname}"] = origin
 
-    def fields_of(self, base: str) -> Dict[str, Origin]:
-        prefix = base + "."
-        return {
-            key[len(prefix) :]: origin
-            for key, origin in self.fields.items()
-            if key.startswith(prefix)
-        }
+# -- compiled Actions ------------------------------------------------------------
+
+#: ``(writes, ret)``: see :func:`_compile_action`
+CompiledAction = Tuple[Tuple[tuple, ...], Optional[Tuple[Optional[int], Optional[str]]]]
+
+
+def _compile_source(value: str) -> Tuple[Optional[int], Optional[str]]:
+    """An Action value as ``(operand, field)``: operand 0 is the
+    receiver, ``i`` argument ``i``, None the constant ``null``; field is
+    None for the operand itself."""
+    if value == "null":
+        return (None, None)
+    head, dot, fieldname = value.partition(".")
+    if head == "this":
+        position: Optional[int] = 0
+    else:
+        try:
+            index = int(head[len("init-param-") :])
+        except ValueError:
+            index = 0
+        position = index if index >= 1 and head == f"init-param-{index}" else None
+    return (position, fieldname if dot else None)
+
+
+def _compile_action(mapping: Dict[str, str]) -> CompiledAction:
+    """Formula 2 and 3 for one callee Action, in positional form.
+
+    ``writes`` are ``(target, tfield, source, sfield)`` in mapping
+    order: target None is the receiver and ``i`` argument ``i``;
+    ``(source, sfield)`` is a :func:`_compile_source` pair.  ``ret`` is
+    the source of ``return``.  When every write hands an operand its own
+    origin back — identity and phantom Actions — the writes cancel out
+    and are dropped.
+    """
+    writes = []
+    ret = None
+    for key, value in mapping.items():
+        source = _compile_source(value)
+        if key == "return":
+            ret = source
+            continue
+        head, _, fieldname = key.partition(".")
+        if head == "this":
+            target: Optional[int] = None
+        elif head.startswith("final-param-"):
+            target = int(head[len("final-param-") :])
+        else:
+            continue
+        writes.append((target, fieldname or None) + source)
+    if all(
+        tfield is None
+        and sfield is None
+        and (source == 0 if target is None else target == source != 0)
+        for target, tfield, source, sfield in writes
+    ):
+        writes = []
+    return tuple(writes), ret
+
+
+def _source(
+    position: Optional[int],
+    fieldname: Optional[str],
+    base_origin: Origin,
+    base_name: Optional[str],
+    arg_origins: List[Origin],
+    arg_names: Tuple[Optional[str], ...],
+    fields: dict,
+) -> Origin:
+    """The caller origin a compiled Action value reads (``calc``)."""
+    if position is None:
+        return UNCTRL
+    if position == 0:
+        origin, name = base_origin, base_name
+    elif position <= len(arg_origins):
+        origin, name = arg_origins[position - 1], arg_names[position - 1]
+    else:
+        return UNCTRL
+    if fieldname is None:
+        return origin
+    if name is not None:
+        tracked = fields.get(name)
+        if tracked is not None:
+            found = tracked.get(fieldname)
+            if found is not None:
+                return found
+    # depth-1 sensitivity: a field of the operand's origin
+    return origin.with_field(fieldname) if fieldname else UNCTRL
+
+
+# -- plans -----------------------------------------------------------------------
+
+# op codes; every op is a tuple headed by its code
+_BIND, _RETURN, _CALL, _COPY, _ASSIGN, _STORE_FIELD, _STORE_STATIC, _STORE_ARRAY = range(8)
+
+
+class _Call:
+    """A lowered call statement."""
+
+    __slots__ = (
+        "kind",
+        "callee_class",
+        "callee_name",
+        "arity",
+        "base",
+        "base_name",
+        "args",
+        "arg_names",
+        "operand_locals",
+        "plain",
+        "resolved",
+        "callee_key",
+        "fixed",
+        "result",
+    )
+
+
+class _Plan:
+    """A method body lowered for replay."""
+
+    __slots__ = ("method", "ops", "this_local", "param_keys", "returns_value")
+
+    def __init__(self, method, ops, this_local, param_keys, returns_value):
+        self.method = method
+        self.ops = ops
+        self.this_local = this_local
+        #: ``(final-param-i, local)`` in first-binding order
+        self.param_keys = param_keys
+        self.returns_value = returns_value
 
 
 class ControllabilityAnalysis:
@@ -183,10 +346,19 @@ class ControllabilityAnalysis:
         #: keys of the current chain that consumed a provisional
         #: (cycle-breaking) summary; cleared when the root completes
         self._tainted: Set[str] = set()
+        #: length of the chain prefix already added to ``_tainted``
+        self._taint_mark = 0
         #: per-root memo of tainted nested results — consulted so one
         #: root analysis never re-analyses the same cycle member twice;
         #: cleared when the root completes (never survives across roots)
         self._provisional: Dict[str, MethodSummary] = {}
+        #: lowered bodies of methods that may be walked again
+        self._plans: Dict[str, _Plan] = {}
+        #: the compiled form of the last summary composed per callee
+        self._compiled: Dict[str, Tuple[MethodSummary, CompiledAction]] = {}
+        #: the cycle-break identity summary per method
+        self._breaks: Dict[str, MethodSummary] = {}
+        self._phantoms: Dict[Tuple[int, bool], CompiledAction] = {}
         #: methods whose analysis hit the recursion guard (diagnostics)
         self.recursive_methods: Set[str] = set()
         #: methods whose *memoised* summary depended on cycle breaking;
@@ -211,9 +383,10 @@ class ControllabilityAnalysis:
         """Analyse the given methods (plus anything they transitively
         require) in canonical order; returns *all* memoised summaries in
         sorted key order."""
-        for method in self.method_order(methods):
-            if method.has_body:
-                self.summary_for(method)
+        keyed = [(m.signature.signature, m) for m in methods if m.has_body]
+        keyed.sort(key=lambda pair: pair[0])
+        for key, method in keyed:
+            self._summary(method, key)
         return {key: self._summaries[key] for key in sorted(self._summaries)}
 
     def seed_summaries(self, summaries: Iterable[MethodSummary]) -> None:
@@ -226,8 +399,11 @@ class ControllabilityAnalysis:
 
     def summary_for(self, method: JavaMethod) -> MethodSummary:
         """doMethodAnalysis with memoisation (the Action cache)."""
-        key = method.signature.signature
-        nested = bool(self._in_progress)
+        return self._summary(method, method.signature.signature)
+
+    def _summary(self, method: JavaMethod, key: str) -> MethodSummary:
+        chain = self._in_progress
+        nested = bool(chain)
         cached = self._summaries.get(key)
         if cached is not None and not (nested and key in self.cycle_tainted):
             # Clean finals are pure values, safe to return anywhere; a
@@ -241,36 +417,43 @@ class ControllabilityAnalysis:
             if provisional is not None:
                 # chain-dependent value: everything on the chain becomes
                 # provisional too
-                self._tainted.update(self._in_progress)
+                self._taint_chain()
                 return provisional
-        if (
-            key in self._in_progress_set
-            or len(self._in_progress) > self.max_recursion_depth
-        ):
+        if key in self._in_progress_set or len(chain) > self.max_recursion_depth:
             # recursion cycle (or pathological depth): conservative
             # identity summary.  Everything currently on the chain now
             # depends on a provisional value, so none of those frames
             # may be memoised except the root itself.
             self.recursive_methods.add(key)
-            self._tainted.update(self._in_progress)
+            self._taint_chain()
             self._tainted.add(key)
-            return MethodSummary(
-                method, Action.identity(method.arity, not method.is_static)
-            )
+            summary = self._breaks.get(key)
+            if summary is None or summary.method is not method:
+                summary = MethodSummary(
+                    method, Action.identity(method.arity, not method.is_static)
+                )
+                self._breaks[key] = summary
+            return summary
         if not method.has_body:
-            return MethodSummary(method, self._phantom_action(method))
+            return MethodSummary(
+                method, self._phantom_action(method.arity, not method.is_static)
+            )
         is_root = not nested
-        self._in_progress.append(key)
+        chain.append(key)
         self._in_progress_set.add(key)
         try:
-            summary = self._do_method_analysis(method)
+            summary = self._walk(method, key)
         finally:
-            self._in_progress.pop()
+            chain.pop()
             self._in_progress_set.discard(key)
+            if self._taint_mark > len(chain):
+                self._taint_mark = len(chain)
         if key not in self._tainted:
             # clean: equal to the root analysis of this method, safe to
-            # memoise regardless of where in the chain it was computed
+            # memoise regardless of where in the chain it was computed;
+            # it is never walked again
             self._summaries[key] = summary
+            self._plans.pop(key, None)
         elif is_root:
             # the root analysis *defines* the final value for a method
             # in a recursion cycle; memoise it but flag it non-persistable
@@ -286,9 +469,17 @@ class ControllabilityAnalysis:
             self._provisional.clear()
         return summary
 
+    def _taint_chain(self) -> None:
+        """Add every frame of the active chain to ``_tainted``."""
+        chain = self._in_progress
+        if self._taint_mark < len(chain):
+            self._tainted.update(chain[self._taint_mark :])
+            self._taint_mark = len(chain)
+
     # -- phantom / body-less methods ----------------------------------------
 
-    def _phantom_action(self, method: JavaMethod) -> Action:
+    @staticmethod
+    def _phantom_action(arity: int, has_this: bool) -> Action:
         """Summary for abstract/native/undefined methods: parameters are
         unchanged and the return value is assumed to derive from the
         receiver when one exists, else from the first parameter.  This
@@ -297,256 +488,313 @@ class ControllabilityAnalysis:
         default in GadgetInspector/Serianalyzer *for analysed code*
         causes false positives; for truly unknown code there is no
         better option than pass-through)."""
-        action = Action.identity(method.arity, not method.is_static)
-        if not method.is_static:
+        action = Action.identity(arity, has_this)
+        if has_this:
             action.mapping["return"] = "this"
-        elif method.arity >= 1:
+        elif arity >= 1:
             action.mapping["return"] = "init-param-1"
         return action
 
-    # -- Algorithm 1 ---------------------------------------------------------
+    def _phantom(self, arity: int, has_this: bool) -> CompiledAction:
+        compiled = self._phantoms.get((arity, has_this))
+        if compiled is None:
+            compiled = _compile_action(self._phantom_action(arity, has_this).mapping)
+            self._phantoms[(arity, has_this)] = compiled
+        return compiled
 
-    def _do_method_analysis(self, method: JavaMethod) -> MethodSummary:
-        cfg = build_cfg(method)
-        local_map = _LocalMap()
-        summary = MethodSummary(method, Action())
-        param_locals: Dict[int, str] = {}
+    # -- lowering --------------------------------------------------------------
+
+    def _lower(self, method: JavaMethod) -> _Plan:
+        ops: List[tuple] = []
         this_local: Optional[str] = None
-        return_origins: List[Origin] = []
-
-        for stmt in cfg.linearized_statements():
+        param_locals: Dict[int, str] = {}
+        for stmt in build_cfg(method).linearized_statements():
             if isinstance(stmt, ir.IdentityStmt):
+                name = stmt.local.name
                 if isinstance(stmt.ref, ir.ThisRef):
-                    this_local = stmt.local.name
-                    local_map.set_var(stmt.local.name, THIS)
+                    this_local = name
+                    ops.append((_BIND, name, THIS))
                 else:
-                    param_locals[stmt.ref.index] = stmt.local.name
-                    local_map.set_var(stmt.local.name, param(stmt.ref.index))
+                    param_locals[stmt.ref.index] = name
+                    ops.append((_BIND, name, param(stmt.ref.index)))
             elif isinstance(stmt, ir.ReturnStmt):
                 if stmt.value is not None:
-                    return_origins.append(self._value_origin(stmt.value, local_map))
+                    ops.append((_RETURN, _lower_value(stmt.value)))
             elif stmt.invoke_expr() is not None:
-                self._do_call_analysis(stmt, local_map, summary)
+                ops.append((_CALL, self._lower_call(stmt)))
             elif isinstance(stmt, ir.AssignStmt):
-                self._do_assign_stmt_analysis(stmt, local_map)
+                ops.append(self._lower_assign(stmt))
             # if/goto/switch/throw/nop do not move data
-
-        self._extract_action(
-            summary, local_map, this_local, param_locals, return_origins, method
+        return _Plan(
+            method,
+            tuple(ops),
+            this_local,
+            tuple((f"final-param-{i}", name) for i, name in param_locals.items()),
+            not method.return_type.is_void,
         )
-        return summary
 
-    # -- doAssignStmtAnalysis: Table IV transfer rules --------------------------
-
-    def _value_origin(self, value: ir.Value, local_map: _LocalMap) -> Origin:
-        if isinstance(value, ir.Local):
-            return local_map.get_var(value.name)
-        if isinstance(value, ir.InstanceFieldRef):
-            base_origin = local_map.get_var(value.base.name)
-            return local_map.get_field(value.base.name, value.field_name, base_origin)
-        if isinstance(value, ir.StaticFieldRef):
-            # Table IV: Class.field -> a; only a same-body store makes it
-            # controllable, otherwise static state is not attacker data.
-            return local_map.fields.get(
-                f"{value.class_name}.{value.field_name}", UNCTRL
-            )
-        if isinstance(value, ir.ArrayRef):
-            base_origin = local_map.get_var(value.base.name)
-            return local_map.get_field(value.base.name, "[]", base_origin)
-        if isinstance(value, ir.CastExpr):
-            return self._value_origin(value.op, local_map)
-        if isinstance(value, ir.BinOpExpr):
-            return join(
-                self._value_origin(value.left, local_map),
-                self._value_origin(value.right, local_map),
-            )
-        if isinstance(value, (ir.NewExpr, ir.NewArrayExpr, ir.InstanceOfExpr)):
-            return UNCTRL
-        if isinstance(value, ir.Constant):
-            return UNCTRL
-        if isinstance(value, (ir.ThisRef,)):
-            return THIS
-        if isinstance(value, ir.ParamRef):
-            return param(value.index)
-        raise AnalysisError(f"cannot compute origin of {value!r}")
-
-    def _do_assign_stmt_analysis(
-        self, stmt: ir.AssignStmt, local_map: _LocalMap
-    ) -> None:
-        origin = self._value_origin(stmt.rhs, local_map)
-        target = stmt.target
+    @staticmethod
+    def _lower_assign(stmt: ir.AssignStmt) -> tuple:
+        """doAssignStmtAnalysis: the Table IV transfer rules."""
+        target, rhs = stmt.target, stmt.rhs
         if isinstance(target, ir.Local):
-            local_map.set_var(target.name, origin)
-            local_map.kill_fields_of(target.name)
-            if isinstance(stmt.rhs, ir.Local):
-                local_map.copy_fields(stmt.rhs.name, target.name)
-        elif isinstance(target, ir.InstanceFieldRef):
-            local_map.set_field(target.base.name, target.field_name, origin)
-        elif isinstance(target, ir.StaticFieldRef):
-            local_map.fields[f"{target.class_name}.{target.field_name}"] = origin
-        elif isinstance(target, ir.ArrayRef):
-            existing = local_map.fields.get(f"{target.base.name}.[]", UNCTRL)
-            local_map.set_field(target.base.name, "[]", join(existing, origin))
+            if isinstance(rhs, ir.Local):
+                return (_COPY, target.name, rhs.name)
+            return (_ASSIGN, target.name, _lower_value(rhs))
+        spec = _lower_value(rhs)
+        if isinstance(target, ir.InstanceFieldRef):
+            return (_STORE_FIELD, target.base.name, target.field_name, spec)
+        if isinstance(target, ir.StaticFieldRef):
+            return (_STORE_STATIC, f"{target.class_name}.{target.field_name}", spec)
+        return (_STORE_ARRAY, target.base.name, spec)
+
+    def _lower_call(self, stmt: ir.Statement) -> _Call:
+        invoke = stmt.invoke_expr()
+        assert invoke is not None
+        call = _Call()
+        call.kind = invoke.kind
+        call.callee_class = invoke.class_name
+        call.callee_name = invoke.method_name
+        call.arity = invoke.arity
+        base = invoke.base
+        call.base = None if base is None else _lower_value(base)
+        call.base_name = base.name if isinstance(base, ir.Local) else None
+        call.args = tuple(_lower_value(a) for a in invoke.args)
+        call.arg_names = tuple(
+            a.name if isinstance(a, ir.Local) else None for a in invoke.args
+        )
+        call.operand_locals = tuple(
+            o.name for o in (base,) + invoke.args if isinstance(o, ir.Local)
+        )
+        # receiver and arguments are all plain locals (or no receiver)
+        call.plain = (base is None or isinstance(base, ir.Local)) and all(
+            isinstance(a, ir.Local) for a in invoke.args
+        )
+        resolved: Optional[JavaMethod] = None
+        if invoke.kind != ir.InvokeKind.DYNAMIC:
+            resolved = self.hierarchy.resolve_method(
+                invoke.class_name, invoke.method_name, invoke.arity
+            )
+        call.resolved = resolved
+        call.callee_key = None
+        call.fixed = None
+        if resolved is not None and resolved.has_body:
+            call.callee_key = resolved.signature.signature
+        elif resolved is not None:
+            call.fixed = self._phantom(resolved.arity, not resolved.is_static)
+        else:
+            # phantom callee: synthesise from the invocation shape
+            call.fixed = self._phantom(invoke.arity, base is not None)
+        call.result = None
+        if isinstance(stmt, ir.AssignStmt) and isinstance(stmt.target, ir.Local):
+            call.result = stmt.target.name
+        return call
+
+    # -- Algorithm 1 ---------------------------------------------------------
+
+    def _walk(self, method: JavaMethod, key: str) -> MethodSummary:
+        plan = self._plans.get(key)
+        if plan is None or plan.method is not method:
+            plan = self._plans[key] = self._lower(method)
+        vars: Dict[str, Origin] = {}
+        fields: Dict[str, Dict[str, Origin]] = {}
+        statics: Dict[str, Origin] = {}
+        returns: List[Origin] = []
+        summary = MethodSummary(method, Action())
+        for op in plan.ops:
+            code = op[0]
+            if code == _CALL:
+                self._call(op[1], summary, vars, fields, statics)
+            elif code == _BIND:
+                vars[op[1]] = op[2]
+            elif code == _COPY:
+                # a rebound local no longer aliases its old field
+                # entries; a copy takes over the source's
+                target = op[1]
+                vars[target] = vars.get(op[2], UNCTRL)
+                fields.pop(target, None)
+                copied = fields.get(op[2])
+                if copied:
+                    fields[target] = dict(copied)
+            elif code == _ASSIGN:
+                vars[op[1]] = _origin(op[2], vars, fields, statics)
+                fields.pop(op[1], None)
+            elif code == _STORE_FIELD:
+                origin = _origin(op[3], vars, fields, statics)
+                tracked = fields.get(op[1])
+                if tracked is None:
+                    fields[op[1]] = {op[2]: origin}
+                else:
+                    tracked[op[2]] = origin
+            elif code == _STORE_STATIC:
+                statics[op[1]] = _origin(op[2], vars, fields, statics)
+            elif code == _STORE_ARRAY:
+                origin = _origin(op[2], vars, fields, statics)
+                tracked = fields.get(op[1])
+                if tracked is None:
+                    fields[op[1]] = {"[]": origin}
+                else:
+                    tracked["[]"] = join(tracked.get("[]", UNCTRL), origin)
+            else:  # _RETURN
+                returns.append(_origin(op[1], vars, fields, statics))
+        self._extract_action(plan, summary.action, vars, fields, returns)
+        return summary
 
     # -- interprocedural step ------------------------------------------------------
 
-    def _do_call_analysis(
-        self, stmt: ir.Statement, local_map: _LocalMap, summary: MethodSummary
+    def _call(
+        self,
+        call: _Call,
+        summary: MethodSummary,
+        vars: dict,
+        fields: dict,
+        statics: dict,
     ) -> None:
-        invoke = stmt.invoke_expr()
-        assert invoke is not None
-
         # Polluted_Position: receiver weight then argument weights.
-        if invoke.base is None:
-            base_origin = UNCTRL
-            base_name: Optional[str] = None
+        if call.plain:
+            get = vars.get
+            base_name = call.base_name
+            base_origin = UNCTRL if base_name is None else get(base_name, UNCTRL)
+            arg_origins = []
+            for name in call.arg_names:
+                arg_origins.append(get(name, UNCTRL))
         else:
-            base_origin = self._value_origin(invoke.base, local_map)
-            base_name = invoke.base.name if isinstance(invoke.base, ir.Local) else None
-        arg_origins = [self._value_origin(a, local_map) for a in invoke.args]
-        pp = [base_origin.weight] + [o.weight for o in arg_origins]
-        pruned = all(w == UNCONTROLLABLE_WEIGHT for w in pp)
+            base = call.base
+            base_origin = (
+                UNCTRL if base is None else _origin(base, vars, fields, statics)
+            )
+            arg_origins = [_origin(spec, vars, fields, statics) for spec in call.args]
+        pp = [base_origin.weight]
+        for origin in arg_origins:
+            pp.append(origin.weight)
+        pruned = pp.count(UNCONTROLLABLE_WEIGHT) == len(pp)
         # Even when every top-level position is ∞, a tracked *field* of
         # the receiver or an argument may be controllable (the Figure 5
         # localMap keeps a.b: 2 while a itself is ∞); the interprocedural
         # composition must still run then, or getter results lose taint.
         compose = not pruned
         if not compose:
-            operands = [invoke.base] + list(invoke.args)
-            for operand in operands:
-                if isinstance(operand, ir.Local) and any(
-                    origin.is_controllable
-                    for origin in local_map.fields_of(operand.name).values()
-                ):
+            for name in call.operand_locals:
+                tracked = fields.get(name)
+                if tracked and any(o.kind != "unctrl" for o in tracked.values()):
                     compose = True
                     break
 
-        resolved: Optional[JavaMethod] = None
-        if invoke.kind != ir.InvokeKind.DYNAMIC:
-            resolved = self.hierarchy.resolve_method(
-                invoke.class_name, invoke.method_name, invoke.arity
+        sites = summary.call_sites
+        sites.append(
+            CallSite(
+                summary.method,
+                call.kind,
+                call.callee_class,
+                call.callee_name,
+                call.arity,
+                pp,
+                call.resolved,
+                pruned,
+                len(sites),
             )
-
-        site = CallSite(
-            caller=summary.method,
-            kind=invoke.kind,
-            callee_class=invoke.class_name,
-            callee_name=invoke.method_name,
-            arity=invoke.arity,
-            polluted_position=pp,
-            resolved=resolved,
-            pruned=pruned,
-            site_index=len(summary.call_sites),
         )
-        summary.call_sites.append(site)
 
-        result_origin = UNCTRL
+        result = UNCTRL
         if compose:
             # Interprocedural composition (calc + correct).
-            if resolved is not None and resolved.has_body:
-                callee_summary = self.summary_for(resolved)
-                action = callee_summary.action
-            elif resolved is not None:
-                action = self._phantom_action(resolved)
+            key = call.callee_key
+            if key is None:
+                compiled: Optional[CompiledAction] = call.fixed
             else:
-                # Phantom callee: synthesise from the invocation shape.
-                action = self._phantom_invoke_action(invoke)
-            inputs = self._build_inputs(
-                invoke, base_origin, base_name, arg_origins, local_map
-            )
-            out = calc(action, inputs)
-            self._correct(local_map, out, invoke, base_name)
-            result_origin = out.get("return", UNCTRL)
+                callee = self._summary(call.resolved, key)
+                if callee is self._breaks.get(key):
+                    compiled = None  # composes to no change and ``null``
+                else:
+                    entry = self._compiled.get(key)
+                    if entry is None or entry[0] is not callee:
+                        entry = (callee, _compile_action(callee.action.mapping))
+                        self._compiled[key] = entry
+                    compiled = entry[1]
+            if compiled is not None:
+                result = self._compose(
+                    compiled, call, base_origin, arg_origins, vars, fields
+                )
 
-        if isinstance(stmt, ir.AssignStmt) and isinstance(stmt.target, ir.Local):
-            local_map.set_var(stmt.target.name, result_origin)
-            local_map.kill_fields_of(stmt.target.name)
+        if call.result is not None:
+            vars[call.result] = result
+            fields.pop(call.result, None)
 
-    def _phantom_invoke_action(self, invoke: ir.InvokeExpr) -> Action:
-        has_this = invoke.base is not None
-        action = Action.identity(invoke.arity, has_this)
-        if has_this:
-            action.mapping["return"] = "this"
-        elif invoke.arity >= 1:
-            action.mapping["return"] = "init-param-1"
-        return action
-
-    def _build_inputs(
-        self,
-        invoke: ir.InvokeExpr,
+    @staticmethod
+    def _compose(
+        compiled: CompiledAction,
+        call: _Call,
         base_origin: Origin,
-        base_name: Optional[str],
-        arg_origins: Sequence[Origin],
-        local_map: _LocalMap,
-    ) -> Dict[str, Origin]:
-        """The ``in`` map of Figure 5(d): callee initial frame -> caller
-        origins, including tracked field entries."""
-        inputs: Dict[str, Origin] = {"this": base_origin}
-        if base_name is not None:
-            for fieldname, origin in local_map.fields_of(base_name).items():
-                inputs[f"this.{fieldname}"] = origin
-        for i, origin in enumerate(arg_origins, start=1):
-            inputs[f"init-param-{i}"] = origin
-            arg = invoke.args[i - 1]
-            if isinstance(arg, ir.Local):
-                for fieldname, forigin in local_map.fields_of(arg.name).items():
-                    inputs[f"init-param-{i}.{fieldname}"] = forigin
-        return inputs
-
-    def _correct(
-        self,
-        local_map: _LocalMap,
-        out: Dict[str, Origin],
-        invoke: ir.InvokeExpr,
-        base_name: Optional[str],
-    ) -> None:
-        """Formula 3: fold the callee's final-frame origins back into the
-        caller's localMap entries for the receiver and argument locals."""
-        for key, origin in out.items():
-            if key == "return":
-                continue
-            head, _, fieldname = key.partition(".")
-            if head == "this":
-                target = base_name
-            elif head.startswith("final-param-"):
-                index = int(head[len("final-param-") :])
-                if index > len(invoke.args):
-                    continue
-                arg = invoke.args[index - 1]
-                target = arg.name if isinstance(arg, ir.Local) else None
-            else:
-                continue
+        arg_origins: List[Origin],
+        vars: dict,
+        fields: dict,
+    ) -> Origin:
+        """Formula 2 then Formula 3: read every source from the pre-call
+        localMap, then fold the callee's final-frame origins back into
+        the receiver and argument locals.  Returns the ``return`` origin."""
+        writes, ret = compiled
+        base_name, arg_names = call.base_name, call.arg_names
+        result = UNCTRL
+        if ret is not None:
+            result = _source(
+                ret[0], ret[1], base_origin, base_name, arg_origins, arg_names, fields
+            )
+        if not writes:
+            return result
+        out = [
+            (
+                target,
+                tfield,
+                _source(
+                    source, sfield, base_origin, base_name, arg_origins, arg_names, fields
+                ),
+            )
+            for target, tfield, source, sfield in writes
+        ]
+        nargs = len(arg_names)
+        for target, tfield, origin in out:
             if target is None:
+                name = base_name
+            elif target > nargs:
                 continue
-            if fieldname:
-                local_map.set_field(target, fieldname, origin)
             else:
-                local_map.set_var(target, origin)
+                name = arg_names[target - 1]
+            if name is None:
+                continue
+            if tfield is None:
+                vars[name] = origin
+            else:
+                tracked = fields.get(name)
+                if tracked is None:
+                    fields[name] = {tfield: origin}
+                else:
+                    tracked[tfield] = origin
+        return result
 
     # -- Action extraction -------------------------------------------------------
 
+    @staticmethod
     def _extract_action(
-        self,
-        summary: MethodSummary,
-        local_map: _LocalMap,
-        this_local: Optional[str],
-        param_locals: Dict[int, str],
-        return_origins: List[Origin],
-        method: JavaMethod,
+        plan: _Plan,
+        action: Action,
+        vars: dict,
+        fields: dict,
+        returns: List[Origin],
     ) -> None:
-        action = summary.action
+        mapping = action.mapping
+        this_local = plan.this_local
         if this_local is not None:
-            action.set("this", local_map.get_var(this_local))
-            for fieldname, origin in local_map.fields_of(this_local).items():
-                action.set(f"this.{fieldname}", origin)
-        for index, local in param_locals.items():
-            action.set(f"final-param-{index}", local_map.get_var(local))
-            for fieldname, origin in local_map.fields_of(local).items():
-                action.set(f"final-param-{index}.{fieldname}", origin)
-        if return_origins:
-            merged = return_origins[0]
-            for origin in return_origins[1:]:
+            mapping["this"] = vars.get(this_local, UNCTRL).action_value()
+            for name, origin in fields.get(this_local, {}).items():
+                mapping[f"this.{name}"] = origin.action_value()
+        for key, local in plan.param_keys:
+            mapping[key] = vars.get(local, UNCTRL).action_value()
+            for name, origin in fields.get(local, {}).items():
+                mapping[f"{key}.{name}"] = origin.action_value()
+        if returns:
+            merged = returns[0]
+            for origin in returns[1:]:
                 merged = join(merged, origin)
-            action.set("return", merged)
-        elif not method.return_type.is_void:
-            action.set("return", UNCTRL)
+            mapping["return"] = merged.action_value()
+        elif plan.returns_value:
+            mapping["return"] = UNCTRL.action_value()

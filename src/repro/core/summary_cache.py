@@ -64,7 +64,9 @@ __all__ = [
 _LOG = logging.getLogger("repro.core.summary_cache")
 
 #: bump when the record schema or the analysis semantics change
-CACHE_FORMAT_VERSION = 1
+#: (2: a static field no longer reads as a field of the local named
+#: like its package root)
+CACHE_FORMAT_VERSION = 2
 
 #: strings longer than this are left as-is on read-back (interned
 #: strings live for the rest of the process)

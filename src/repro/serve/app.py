@@ -30,8 +30,10 @@ Routes::
 
 Error contract: 400 malformed body or query, 404 unknown job or route,
 405 wrong method, 409 results requested before the job is done (or
-deleting a running job), 429 rate-limited (with ``Retry-After``),
-503 shutting down or queue full.  Every response body is JSON.
+deleting a running job), 410 a query on a job whose graph was released
+when its result left the store (resubmit to recompute), 429
+rate-limited (with ``Retry-After``), 503 shutting down or queue full.
+Every response body is JSON.
 
 ``ThreadingHTTPServer`` gives one thread per connection; all shared
 state (job table, result store, token buckets) is internally locked,
@@ -309,8 +311,18 @@ class _Handler(BaseHTTPRequestHandler):
         if not cypher:
             self._error(400, "missing query parameter 'q'")
             return
+        graph = job.result.graph
+        if graph is None:
+            self._error(
+                410,
+                "the job's graph was released when its result left the "
+                "store; resubmit the job to query it",
+                reason="graph-released",
+                resubmit=True,
+            )
+            return
         try:
-            result = run_query(job.result.graph, cypher)
+            result = run_query(graph, cypher)
         except GraphError as exc:
             self._error(400, f"query failed: {exc}")
             return

@@ -33,7 +33,7 @@ import os
 import queue
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.api import Tabby
@@ -414,6 +414,14 @@ class Job:
         """Block until the job reaches a terminal state."""
         return self.event.wait(timeout)
 
+    def end(self, state: str) -> None:
+        """Enter a terminal state and drop the inputs only a computation
+        reads: the bundle text and a ``live`` job's pinned version."""
+        self.state = state
+        self.phase = state
+        self.finished = time.time()
+        self.submission = replace(self.submission, payload=(), pinned=None)
+
     def as_dict(self) -> Dict[str, Any]:
         """The ``GET /jobs/<id>`` document (also the list-entry shape)."""
         doc: Dict[str, Any] = {
@@ -537,8 +545,7 @@ class JobManager:
             stored = self.store.get(sub.key)
             if stored is not None:
                 job = self._new_job(sub)
-                job.state = JobState.DONE
-                job.phase = "done"
+                job.end(JobState.DONE)
                 job.cached = True
                 job.result = stored
                 job.progress = {"cpg": stored.cpg_row, "search": stored.search_row}
@@ -591,9 +598,7 @@ class JobManager:
             if job.state == JobState.RUNNING:
                 return "running"
             if job.state == JobState.QUEUED:
-                job.state = JobState.CANCELLED
-                job.phase = "cancelled"
-                job.finished = time.time()
+                job.end(JobState.CANCELLED)
                 self._active.pop(job.key, None)
                 self.cancelled += 1
                 job.event.set()
@@ -622,19 +627,15 @@ class JobManager:
             result = self._compute(job)
         except (ReproError, ValueError) as exc:
             with self._lock:
-                job.state = JobState.FAILED
-                job.phase = "failed"
+                job.end(JobState.FAILED)
                 job.error = str(exc)
-                job.finished = time.time()
                 self._active.pop(job.key, None)
                 self.failed += 1
             job.event.set()
             return
         with self._lock:
             job.result = result
-            job.state = JobState.DONE
-            job.phase = "done"
-            job.finished = time.time()
+            job.end(JobState.DONE)
             # commit + retire atomically w.r.t. submit(): no window in
             # which an identical submission could start a second compute
             self.store.put(job.key, result)
@@ -790,8 +791,14 @@ class JobManager:
         return graph
 
     def _result_evicted(self, key: str, result: JobResult) -> None:
-        """Result-store eviction hook: retire the opened snapshot graph
-        once no stored result references its file version any more."""
+        """Result-store eviction hook: release the result's graph, and
+        retire the opened snapshot graph once no stored result
+        references its file version any more.
+
+        Jobs that still hold the result keep serving its chains, lint,
+        verdicts, diff and fingerprint; ``GET /jobs/<id>/query`` on a
+        released graph answers 410, and resubmitting recomputes it."""
+        result.graph = None
         with self._snap_lock:
             token = self._snapshot_tokens.pop(key, None)
             if token is not None:
@@ -910,9 +917,7 @@ class JobManager:
             if not drain:
                 for queued in self._jobs.values():
                     if queued.state == JobState.QUEUED:
-                        queued.state = JobState.CANCELLED
-                        queued.phase = "cancelled"
-                        queued.finished = time.time()
+                        queued.end(JobState.CANCELLED)
                         self._active.pop(queued.key, None)
                         self.cancelled += 1
                         queued.event.set()

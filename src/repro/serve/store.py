@@ -128,7 +128,8 @@ class JobResult:
     """Everything a completed job can serve, keyed by content hash.
 
     ``graph`` keeps the built CPG queryable (``GET .../query``) without
-    re-running the pipeline; ``fingerprint`` is a digest of
+    re-running the pipeline, for as long as the store holds the result:
+    the job manager releases it on eviction; ``fingerprint`` is a digest of
     :func:`repro.graphdb.snapshot.graph_fingerprint`, the identity the
     equivalence tests compare cache hits against recomputation with.
     """
@@ -153,8 +154,9 @@ class ResultStore:
 
     Eviction only ever forgets *cached* work — a completed job keeps a
     direct reference to its own result, so polling an existing job
-    never loses data; eviction merely means the next identical
-    submission recomputes (the hypothesis battery in
+    keeps its chains, lint, verdicts and fingerprint; eviction means the
+    next identical submission recomputes, and the job manager releases
+    the evicted result's graph (the hypothesis battery in
     ``tests/serve/test_store_properties.py`` pins both halves of that
     contract).
     """
@@ -185,6 +187,12 @@ class ResultStore:
             self._entries.move_to_end(key)
             self.hits += 1
             return result
+
+    def peek(self, key: str) -> Optional[JobResult]:
+        """The stored result, without counting a hit or refreshing its
+        recency."""
+        with self._lock:
+            return self._entries.get(key)
 
     def put(self, key: str, result: JobResult) -> None:
         dropped: List[Tuple[str, JobResult]] = []

@@ -252,3 +252,48 @@ class TestInterprocedural:
         s = summary(analyze(build), "t.C", "m")
         assert s.call_sites[0].kind == "dynamic"
         assert s.call_sites[0].resolved is None
+
+
+def _static_slot_program(pb):
+    """Two bodies whose parameter ``org`` is named like the package
+    root of the static field ``org.demo.Flags.slot`` they use."""
+    with pb.cls("org.demo.Flags") as c:
+        c.field("slot", "java.lang.Object", static=True)
+        with c.method("keep", params=["java.lang.Object"], static=True,
+                      param_names=["org"]) as m:
+            m.set_static("org.demo.Flags", "slot", m.param(1))
+            m.ret()
+        with c.method("reload", params=["java.lang.Object"],
+                      returns="java.lang.Object", static=True,
+                      param_names=["org"]) as m:
+            m.set_static("org.demo.Flags", "slot", m.param(1))
+            m.assign(m.param(1), None)
+            m.ret(m.get_static("org.demo.Flags", "slot"))
+
+
+@pytest.mark.parametrize("engine", ["compiled", "oracle"])
+class TestStaticFieldsStayApartFromLocals:
+    """A static path is not a field of the local named like its package
+    root: it neither leaks into that parameter's Action entries nor dies
+    when the local is rebound."""
+
+    def summaries(self, engine):
+        from tests.oracles.controllability import (
+            ControllabilityAnalysis as OracleAnalysis,
+        )
+
+        pb = ProgramBuilder()
+        _static_slot_program(pb)
+        cls = ControllabilityAnalysis if engine == "compiled" else OracleAnalysis
+        return cls(ClassHierarchy(pb.build())).analyze_all()
+
+    def test_static_store_adds_no_parameter_field(self, engine):
+        s = summary(self.summaries(engine), "org.demo.Flags", "keep")
+        assert s.action.to_property() == {"final-param-1": "init-param-1"}
+
+    def test_rebinding_the_local_keeps_the_static(self, engine):
+        s = summary(self.summaries(engine), "org.demo.Flags", "reload")
+        assert s.action.to_property() == {
+            "final-param-1": "null",
+            "return": "init-param-1",
+        }

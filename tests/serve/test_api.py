@@ -311,6 +311,38 @@ class TestRateLimiting:
             srv.close()
 
 
+class TestReleasedGraph:
+    def test_query_after_eviction_is_410(self):
+        srv = create_server(workers=1, store_capacity=1)
+        srv.run_forever_in_thread()
+        try:
+            client = Client(srv.url)
+            code, first, _ = client.submit(gadget_bundle("gone"))
+            client.poll_done(first["id"])
+            code, _, _ = client.query(first["id"], "MATCH (m:Method) RETURN m.NAME")
+            assert code == 200
+            code, second, _ = client.submit(gadget_bundle("kept"))
+            client.poll_done(second["id"])
+            # the second result pushed the first out of the store
+            code, err, _ = client.query(first["id"], "MATCH (m:Method) RETURN m.NAME")
+            assert code == 410
+            assert err["reason"] == "graph-released" and err["resubmit"] is True
+            # everything but the graph is still served
+            code, chains, _ = client.request("GET", f"/jobs/{first['id']}/chains")
+            assert code == 200 and chains["chains"]
+            code, doc, _ = client.request("GET", f"/jobs/{first['id']}")
+            assert code == 200 and doc["fingerprint"]
+            code, _, _ = client.query(second["id"], "MATCH (m:Method) RETURN m.NAME")
+            assert code == 200
+            # resubmitting recomputes, and the new job is queryable
+            code, again, _ = client.submit(gadget_bundle("gone"))
+            client.poll_done(again["id"])
+            code, _, _ = client.query(again["id"], "MATCH (m:Method) RETURN m.NAME")
+            assert code == 200
+        finally:
+            srv.close()
+
+
 class TestRefinementEndpoint:
     def test_refine_option_bad_mode_400(self, client):
         code, err, _ = client.request(

@@ -188,7 +188,13 @@ class TestShutdown:
     def test_no_drain_cancels_queued_jobs(self):
         manager = GatedManager(workers=1)
         jobs = [manager.submit(body_for(f"nodrain{i}"))[0] for i in range(4)]
-        # worker holds job 0 at the gate; 1..3 are queued
+        # worker holds job 0 at the gate; 1..3 are queued — wait for the
+        # pick-up, or a shutdown that wins the race cancels job 0 too
+        for _ in range(500):
+            if jobs[0].state == JobState.RUNNING:
+                break
+            threading.Event().wait(0.01)
+        assert jobs[0].state == JobState.RUNNING
         canceller = threading.Thread(
             target=manager.shutdown, kwargs={"drain": False}
         )

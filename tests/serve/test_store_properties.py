@@ -6,7 +6,8 @@ is deterministic):
 
 * a completed job never loses its result — store eviction (explicit or
   LRU) only ever forgets *cached* work, so polling any non-deleted
-  done job keeps returning the full result;
+  done job keeps returning its chains and fingerprint; only the
+  queryable graph is released once the store lets go of the result;
 * every result a client can observe — fresh compute, warm-cache hit,
   or post-evict recompute — is fingerprint-identical to a direct
   recompute of the same bundle (``graph_fingerprint`` digest and chain
@@ -102,8 +103,37 @@ def test_interleavings_never_lose_completed_results(ops):
             # cache hits and recomputes are fingerprint-identical
             assert job.result.fingerprint == digest
             assert job.result.chain_records == records
-            # the retained graph itself still hashes to the same identity
-            assert fingerprint_digest(job.result.graph) == graph_digest
+            # the graph is kept while the store holds the result (and
+            # hashes to the same identity), and released after
+            if manager.store.peek(job.key) is job.result:
+                assert fingerprint_digest(job.result.graph) == graph_digest
+            else:
+                assert job.result.graph is None
+
+
+def test_evicted_results_release_their_graphs():
+    """N distinct submissions to a capacity-k store leave at most k
+    graphs alive; every job keeps its chains and fingerprint, and no
+    finished job keeps its bundle text."""
+    import gc
+    import weakref
+
+    k, n = 2, 5
+    manager = JobManager(workers=1, inline=True, store=ResultStore(capacity=k))
+    jobs, graphs = [], []
+    for i in range(n):
+        body = {"classes": gadget_bundle(f"rel{i}"), "options": {"sources": "native"}}
+        job, status = manager.submit(body)
+        assert status == "new" and job.state == JobState.DONE
+        graphs.append(weakref.ref(job.result.graph))
+        jobs.append(job)
+    gc.collect()
+    assert sum(ref() is not None for ref in graphs) <= k
+    for job in jobs:
+        held = manager.store.peek(job.key) is job.result
+        assert (job.result.graph is not None) == held
+        assert job.result.chain_records and job.result.fingerprint
+        assert job.submission.payload == ()
 
 
 @settings(max_examples=50, deadline=None)
