@@ -1,16 +1,15 @@
-"""Build-scaling benchmark: parallel shards and the warm summary cache.
+"""Build-scaling benchmark: the warm summary cache.
 
 Measures the CPG build on an analysis-heavy synthetic corpus (many live
 call sites composing a wide Action, so Algorithm 1 dominates the build)
 in three modes:
 
-* serial, cold — the baseline pipeline;
-* workers ∈ {2, 4}, cold — the sharded summary phase.  The ≥1.5×
-  speedup assertion only applies when the machine actually has ≥2 CPUs
-  (a single-CPU container cannot speed up CPU-bound work by adding
-  processes; the differential tests still prove the results identical);
-* serial, warm cache — a rebuild over an unchanged classpath, which
-  must skip Algorithm 1 entirely and run ≥5× faster than cold.
+* uncached — the baseline pipeline;
+* cold cache — the first build, which analyses every class and fills
+  the cache;
+* warm cache — a rebuild over an unchanged classpath, which must skip
+  Algorithm 1 entirely, run ≥5× faster than cold and beat the uncached
+  build.
 """
 
 import time
@@ -18,7 +17,6 @@ import time
 import pytest
 
 from repro.core.cpg import CPGBuilder
-from repro.core.parallel import ParallelConfig, available_cpus
 from repro.jvm.builder import ProgramBuilder
 from repro.jvm.hierarchy import ClassHierarchy
 
@@ -60,13 +58,13 @@ def build_corpus():
     return pb.build()
 
 
-def timed_build(classes, parallel=None, cache=None, repetitions=REPETITIONS):
+def timed_build(classes, cache=None, repetitions=REPETITIONS):
     """Best-of-N wall clock for one build mode, plus the last CPG."""
     best = float("inf")
     cpg = None
     for _ in range(repetitions):
         hierarchy = ClassHierarchy(classes)
-        builder = CPGBuilder(hierarchy, parallel=parallel, cache=cache)
+        builder = CPGBuilder(hierarchy, cache=cache)
         started = time.perf_counter()
         cpg = builder.build()
         best = min(best, time.perf_counter() - started)
@@ -76,29 +74,6 @@ def timed_build(classes, parallel=None, cache=None, repetitions=REPETITIONS):
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus()
-
-
-def test_parallel_build_scaling(corpus):
-    serial_s, serial_cpg = timed_build(corpus)
-    rows = [("serial", serial_s, 1.0)]
-    for workers in (2, 4):
-        par_s, par_cpg = timed_build(
-            corpus, parallel=ParallelConfig(workers=workers)
-        )
-        rows.append((f"workers={workers}", par_s, serial_s / par_s))
-        assert (
-            par_cpg.statistics.relationship_edge_count
-            == serial_cpg.statistics.relationship_edge_count
-        )
-    print()
-    for label, seconds, speedup in rows:
-        print(f"  {label:<12} {seconds:8.3f}s  {speedup:5.2f}x")
-    if available_cpus() >= 2:
-        four = next(s for label, _, s in rows if label == "workers=4")
-        assert four >= 1.5, f"expected >=1.5x at 4 workers, got {four:.2f}x"
-    else:
-        print(f"  (only {available_cpus()} CPU available; "
-              "speedup assertion skipped, equivalence still checked)")
 
 
 def test_warm_cache_rebuild_speedup(corpus, tmp_path):

@@ -18,6 +18,8 @@ Two claims, two gates:
 ``--smoke`` runs the identity gate over a 3-edit script on a two
 component corpus and skips the speedup gate — that is what CI runs.
 The full run writes ``BENCH_incremental.json``.
+A ``--smoke`` run refuses to overwrite a full-mode results file, so
+pass ``--output`` elsewhere when smoke-testing.
 """
 
 import argparse
@@ -35,6 +37,7 @@ from repro.core.pathfinder import GadgetChainFinder
 from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.graphdb.snapshot import graph_fingerprint
 from repro.jvm.hierarchy import ClassHierarchy
+from smoke_guard import refuses_smoke_overwrite
 
 SMOKE_COMPONENTS = ["commons-collections(3.2.1)", "Hibernate"]
 
@@ -60,7 +63,6 @@ def cold_pipeline(classes, cfg):
         max_results_per_sink=cfg.max_results_per_sink,
         uniqueness=cfg.uniqueness,
         optimize=cfg.optimize,
-        workers=cfg.workers,
     )
     per_sink = finder.find_chains_per_sink(
         cpg.sink_nodes(), source_filter=cfg.source_filter
@@ -123,6 +125,8 @@ def main(argv=None):
     )
     parser.add_argument("--output", default="BENCH_incremental.json")
     args = parser.parse_args(argv)
+    if refuses_smoke_overwrite(args):
+        return 2
 
     components = SMOKE_COMPONENTS if args.smoke else list(COMPONENT_NAMES)
     failures = []

@@ -28,6 +28,8 @@ Four claims, four gates:
 ``--smoke`` runs the first three gates on a two-component corpus —
 that is what CI runs.  The full run adds the throughput gate and
 writes ``BENCH_mvcc.json``.
+A ``--smoke`` run refuses to overwrite a full-mode results file, so
+pass ``--output`` elsewhere when smoke-testing.
 """
 
 import argparse
@@ -49,6 +51,7 @@ from repro.graphdb.mvcc import VersionedGraph, version_of
 from repro.graphdb.query import run_query
 from repro.graphdb.snapshot import fingerprint_digest, graph_fingerprint
 from repro.jvm.hierarchy import ClassHierarchy
+from smoke_guard import refuses_smoke_overwrite
 
 SMOKE_COMPONENTS = ["commons-collections(3.2.1)", "Hibernate"]
 
@@ -78,7 +81,7 @@ def chain_keys(snapshot, max_depth=12):
         relationship_edge_count=snapshot.relationship_count,
     )
     view = CPG(snapshot, ClassHierarchy([]), statistics, {})
-    finder = GadgetChainFinder(view, max_depth=max_depth, workers=1)
+    finder = GadgetChainFinder(view, max_depth=max_depth)
     return sorted(
         (tuple(s.qualified for s in chain.steps), chain.sink_category)
         for chain in finder.find_chains()
@@ -361,6 +364,8 @@ def main(argv=None):
     )
     parser.add_argument("--output", default="BENCH_mvcc.json")
     args = parser.parse_args(argv)
+    if refuses_smoke_overwrite(args):
+        return 2
 
     components = SMOKE_COMPONENTS if args.smoke else list(COMPONENT_NAMES)
     failures = []

@@ -22,7 +22,8 @@ engine's (and, where ORDER BY pins a total order, the exact row lists);
 any divergence makes the script exit non-zero.  Results are recorded to
 ``BENCH_query.json``.  ``--smoke`` uses a two-component corpus and skips
 the speedup assertion (identity is always enforced) — that is what CI
-runs.
+runs.  A ``--smoke`` run refuses to overwrite a full-mode results file, so
+pass ``--output`` elsewhere when smoke-testing.
 """
 
 import argparse
@@ -38,6 +39,7 @@ from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.graphdb.plan import build_plan
 from repro.graphdb.query import _hashable, parse_query, run_query
 from repro.jvm.hierarchy import ClassHierarchy
+from smoke_guard import refuses_smoke_overwrite
 
 REPETITIONS = 3
 
@@ -117,6 +119,8 @@ def main(argv=None):
     )
     parser.add_argument("--output", default="BENCH_query.json")
     args = parser.parse_args(argv)
+    if refuses_smoke_overwrite(args):
+        return 2
 
     components = SMOKE_COMPONENTS if args.smoke else COMPONENT_NAMES
     failures = []

@@ -24,7 +24,6 @@ so pass ``--output`` elsewhere when smoke-testing.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -34,6 +33,7 @@ from repro.analysis.chain_refiner import ChainRefiner
 from repro.core import Tabby
 from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.verify import ChainVerifier
+from smoke_guard import refuses_smoke_overwrite
 
 SMOKE_COMPONENTS = ["commons-collections(3.2.1)", "Hibernate"]
 WHOLE_CPG_MODES = ("rta", "taint")
@@ -94,26 +94,13 @@ def run_component(name, failures):
     }
 
 
-def _is_full_mode(path):
-    """True when ``path`` holds a results file written by a full run."""
-    if not os.path.exists(path):
-        return False
-    try:
-        with open(path) as fh:
-            return json.load(fh).get("mode") == "full"
-    except (OSError, ValueError, AttributeError):
-        return False
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="decoy components only; skip the overhead gate")
     parser.add_argument("--output", default="BENCH_refine.json")
     args = parser.parse_args(argv)
-    if args.smoke and _is_full_mode(args.output):
-        print(f"refusing to overwrite full-mode results in {args.output}; "
-              "pass --output elsewhere for a smoke run", file=sys.stderr)
+    if refuses_smoke_overwrite(args):
         return 2
 
     names = SMOKE_COMPONENTS if args.smoke else list(COMPONENT_NAMES)

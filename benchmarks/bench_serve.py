@@ -23,6 +23,8 @@ The full run asserts warm-cache throughput at 8 concurrent clients is
 >= 2x the serial baseline and writes ``BENCH_serve.json``; ``--smoke``
 shrinks the request counts and skips the throughput gate (equivalence
 is always enforced), which is what CI runs.
+A ``--smoke`` run refuses to overwrite a full-mode results file, so
+pass ``--output`` elsewhere when smoke-testing.
 """
 
 import argparse
@@ -40,6 +42,7 @@ from repro.jvm import jasm
 from repro.jvm.builder import ProgramBuilder
 from repro.jvm.model import SERIALIZABLE
 from repro.serve import create_server
+from smoke_guard import refuses_smoke_overwrite
 
 OPTIONS = {"sources": "native"}
 
@@ -218,6 +221,8 @@ def main(argv=None):
     )
     parser.add_argument("--output", default="BENCH_serve.json")
     args = parser.parse_args(argv)
+    if refuses_smoke_overwrite(args):
+        return 2
 
     if args.smoke:
         baseline_jobs, requests_each, client_counts = 4, 20, [1, 4]

@@ -43,6 +43,8 @@ faster than a v2 full decode on the merged corpus; and 8 v3 readers
 of one snapshot cost <=0.5x the memory of 8 independent v2 decodes.
 ``--smoke`` uses a two-component corpus and skips the performance
 gates (identity is always enforced), which is what CI runs.
+A ``--smoke`` run refuses to overwrite a full-mode results file, so
+pass ``--output`` elsewhere when smoke-testing.
 """
 
 import argparse
@@ -62,6 +64,7 @@ from repro.graphdb.query import run_query
 from repro.graphdb.snapshot import graph_fingerprint
 from repro.graphdb.storage import load_graph, open_graph, save_graph
 from repro.jvm.hierarchy import ClassHierarchy
+from smoke_guard import refuses_smoke_overwrite
 
 REPETITIONS = 5
 
@@ -357,6 +360,8 @@ def main(argv=None):
     )
     parser.add_argument("--output", default="BENCH_storage.json")
     args = parser.parse_args(argv)
+    if refuses_smoke_overwrite(args):
+        return 2
 
     components = SMOKE_COMPONENTS if args.smoke else list(COMPONENT_NAMES)
     width, depth = (8, 4) if args.smoke else (96, 14)

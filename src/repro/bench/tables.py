@@ -141,16 +141,15 @@ class ComponentResult:
 def run_table_ix_component(
     name: str,
     sl_step_budget: int = SL_STEP_BUDGET,
-    workers: int = 1,
     cache_dir: Optional[str] = None,
     refine: Optional[Sequence[str]] = None,
 ) -> ComponentResult:
     """Run all three tools on one Table IX component.
 
-    ``workers``/``cache_dir`` tune Tabby's CPG build only (the baselines
-    stay serial, as in the paper).  A shared ``cache_dir`` pays off
-    across components: every component includes the same language base
-    classes, whose summaries are re-used after the first build.
+    ``cache_dir`` tunes Tabby's CPG build only.  A shared ``cache_dir``
+    pays off across components: every component includes the same
+    language base classes, whose summaries are re-used after the first
+    build.
 
     ``refine`` modes add a fourth score: Tabby's chain list
     post-filtered by :class:`repro.analysis.chain_refiner.ChainRefiner`.
@@ -161,7 +160,7 @@ def run_table_ix_component(
     classes = build_lang_base() + spec.classes
     verifier = ChainVerifier(classes)
 
-    tabby = Tabby(workers=workers, cache_dir=cache_dir).add_classes(classes)
+    tabby = Tabby(cache_dir=cache_dir).add_classes(classes)
     started = time.perf_counter()
     chains = tabby.find_gadget_chains()
     tabby_score = classify_chains(
@@ -216,7 +215,6 @@ def run_table_ix_component(
 def run_table_ix(
     components: Optional[Sequence[str]] = None,
     sl_step_budget: int = SL_STEP_BUDGET,
-    workers: int = 1,
     cache_dir: Optional[str] = None,
     refine: Optional[Sequence[str]] = None,
 ) -> List[ComponentResult]:
@@ -225,7 +223,6 @@ def run_table_ix(
         run_table_ix_component(
             name,
             sl_step_budget,
-            workers=workers,
             cache_dir=cache_dir,
             refine=refine,
         )

@@ -38,13 +38,9 @@ __all__ = ["main", "build_parser"]
 
 
 def _workers_arg(value: str) -> int:
-    """Worker counts must be >= 1; 'auto' spells one-per-CPU.
-
-    A bare ``0`` used to mean auto, which made ``--workers 0`` silently
-    legal everywhere and negative counts fall through to the pools;
-    both now fail argument parsing (exit 2) across analyze/chains/
-    bench/serve alike.
-    """
+    """``tabby serve --workers``: a count >= 1, or 'auto' (returned as
+    0) for one job thread per schedulable CPU.  ``0`` and negative
+    counts fail argument parsing (exit 2)."""
     if value == "auto":
         return 0
     try:
@@ -223,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--components", nargs="*", default=None,
                        help="restrict table9 to these components")
-    bench.add_argument("--workers", type=_workers_arg, default=1, metavar="N",
-                       help="worker processes for table9 CPG builds "
-                       "('auto' = one per CPU)")
     bench.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="shared summary cache for table9 CPG builds")
     bench.add_argument("--refine", type=_refine_modes_arg, default=None,
@@ -290,13 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
-    """CPG-build tuning shared by ``analyze`` and ``chains``."""
-    parser.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
-        help="shard the summary phase — and, for 'chains', the per-sink "
-        "search — across N worker processes ('auto' = one per CPU, 1 = "
-        "in-process serial); results are bit-identical to serial",
-    )
+    """CPG-build tuning shared by ``analyze``, ``chains`` and ``diff``."""
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent per-class summary cache; entries are keyed by "
@@ -310,7 +297,7 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="print per-phase timings and cache/worker counters",
+        help="print per-phase timings and cache counters",
     )
 
 
@@ -321,7 +308,6 @@ def _sources(name: str) -> SourceCatalog:
 def _build_tabby(args: argparse.Namespace) -> Tabby:
     return Tabby(
         sources=_sources(args.sources),
-        workers=args.workers,
         cache_dir=args.cache_dir,
         cache_max_mb=getattr(args, "cache_max_mb", None),
     ).load_classpath(args.classpath)
@@ -427,7 +413,6 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         tabby = Tabby.load_cpg(
             args.cpg,
             sources=_sources(args.sources),
-            workers=args.workers,
             cache_dir=args.cache_dir,
         )
     else:
@@ -530,7 +515,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     tabby = Tabby(
         sources=_sources(args.sources),
-        workers=args.workers,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
     )
@@ -541,6 +525,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         source_filter=args.source_filter,
         refine=args.refine,
     )
+    if args.profile and diff.statistics is not None:
+        # stderr so --profile composes with --json pipelines
+        for key, value in diff.statistics.as_row().items():
+            print(f"diff {key}: {value}", file=sys.stderr)
     document = diff_to_dict(diff)
     if args.json:
         print(json.dumps(document, indent=2))
@@ -563,10 +551,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     for index, chain in enumerate(diff.disappeared, start=1):
         steps = " -> ".join(s.qualified for s in chain.steps)
         print(f"--- disappeared #{index} [{chain.sink_category}]: {steps}")
-    if args.profile and diff.statistics is not None:
-        # stderr so --profile composes with --json pipelines
-        for key, value in diff.statistics.as_row().items():
-            print(f"diff {key}: {value}", file=sys.stderr)
     return 0
 
 
@@ -657,7 +641,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     elif args.table == "table9":
         print(bench.format_table_ix(bench.run_table_ix(
             components=args.components,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             refine=args.refine,
         )))
@@ -688,10 +671,9 @@ def _cmd_sinks(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.parallel import available_cpus
     from repro.serve.app import create_server
 
-    workers = args.workers or available_cpus()
+    workers = args.workers or len(os.sched_getaffinity(0))
     try:
         server = create_server(
             host=args.host,

@@ -7,7 +7,6 @@
 * :mod:`repro.core.sinks` / :mod:`repro.core.sources` — catalogs
 * :mod:`repro.core.pathfinder` — Algorithms 2-3 (§III-D)
 * :mod:`repro.core.chains` — gadget-chain model
-* :mod:`repro.core.parallel` — sharded summary construction
 * :mod:`repro.core.summary_cache` — persistent per-class summary cache
 * :mod:`repro.core.cpg_check` — structural CPG verification
 * :mod:`repro.core.refine` — guard-feasibility analysis (the ``guards``
@@ -30,7 +29,6 @@ from repro.core.controllability import (
 )
 from repro.core.cpg import CPG, CPGBuilder, CPGStatistics
 from repro.core.cpg_check import CPGCheckIssue, verify_cpg
-from repro.core.parallel import ParallelConfig, available_cpus
 from repro.core.refine import GuardFeasibilityRefiner, RefutationReason
 from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
 from repro.core.sinks import DEFAULT_SINKS, SinkCatalog, SinkMethod
@@ -38,8 +36,6 @@ from repro.core.sources import SourceCatalog
 from repro.core.summary_cache import SummaryCache, catalog_token
 
 __all__ = [
-    "ParallelConfig",
-    "available_cpus",
     "SummaryCache",
     "catalog_token",
     "Tabby",

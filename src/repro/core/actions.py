@@ -179,8 +179,8 @@ class Action:
 
     def to_property(self) -> Dict[str, str]:
         """Graph-storable form (the Action node property).  Keys are
-        sorted so the stored form is canonical: a cache round-trip or a
-        parallel merge yields byte-identical node properties."""
+        sorted so the stored form is canonical: a cache round-trip
+        yields byte-identical node properties."""
         return {key: self.mapping[key] for key in sorted(self.mapping)}
 
     @classmethod

@@ -53,16 +53,12 @@ class Tabby:
         sinks: Optional[SinkCatalog] = None,
         sources: Optional[SourceCatalog] = None,
         prune_uncontrollable_calls: bool = True,
-        workers: int = 1,
         cache_dir: Optional[str] = None,
         cache_max_mb: Optional[float] = None,
     ):
         self.sinks = sinks if sinks is not None else SinkCatalog()
         self.sources = sources if sources is not None else SourceCatalog.extended()
         self.prune_uncontrollable_calls = prune_uncontrollable_calls
-        #: >1 shards the summary phase across a process pool; 0 = one
-        #: worker per available CPU (see repro.core.parallel)
-        self.workers = workers
         #: persistent summary cache directory (see repro.core.summary_cache)
         self.cache_dir = cache_dir
         #: LRU size cap for the summary cache (None = unbounded)
@@ -115,7 +111,6 @@ class Tabby:
             sinks=self.sinks,
             sources=self.sources,
             prune_uncontrollable_calls=self.prune_uncontrollable_calls,
-            parallel=self.workers,
             cache=self._summary_cache(),
         )
         self._cpg = builder.build()
@@ -149,7 +144,6 @@ class Tabby:
         refine: Optional[Sequence[str]] = None,
         skip_rta_dead: bool = False,
         optimize: bool = True,
-        search_workers: Optional[int] = None,
     ) -> List[GadgetChain]:
         """Run the tabby-path-finder search over the CPG.
 
@@ -176,10 +170,8 @@ class Tabby:
 
         ``optimize=False`` restores the baseline search engine (no
         reachability pruning or negative caching) — the chain set is
-        identical either way.  ``search_workers`` shards the per-sink
-        search across a process pool (``None`` reuses :attr:`workers`,
-        1 = serial, 0 = one per CPU); diagnostics for the last run are
-        kept in :attr:`last_search_stats`.
+        identical either way.  Diagnostics for the last run are kept in
+        :attr:`last_search_stats`.
         """
         cpg = self.build_cpg()
         refiner = None
@@ -198,7 +190,6 @@ class Tabby:
             max_results_per_sink=max_results_per_sink,
             uniqueness=uniqueness,
             optimize=optimize,
-            workers=self.workers if search_workers is None else search_workers,
             skip_rta_dead=skip_rta_dead,
         )
         chains = finder.find_chains(source_filter=source_filter)
@@ -256,7 +247,6 @@ class Tabby:
                 max_results_per_sink=max_results_per_sink,
                 uniqueness=uniqueness,
                 optimize=optimize,
-                workers=self.workers,
             ),
         )
         old_chains = list(session.chains)

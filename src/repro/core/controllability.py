@@ -35,10 +35,9 @@ own root later.  Two rules keep root values order-independent:
 * a *nested* lookup never returns a cycle-tainted final — the callee is
   re-analysed provisionally instead.  A root's value therefore never
   depends on whether a cycle partner happened to be finalised first,
-  which is exactly the property that lets the parallel shard workers of
-  :mod:`repro.core.parallel` and the seeded summaries of
-  :mod:`repro.core.summary_cache` reproduce the serial pipeline bit for
-  bit.
+  which is exactly the property that lets the seeded summaries of
+  :mod:`repro.core.summary_cache` and :mod:`repro.core.incremental`
+  reproduce a cold build bit for bit.
 
 Methods whose root-final summary depended on cycle breaking are
 recorded in :attr:`ControllabilityAnalysis.cycle_tainted`; the on-disk
@@ -391,9 +390,9 @@ class ControllabilityAnalysis:
 
     def seed_summaries(self, summaries: Iterable[MethodSummary]) -> None:
         """Install externally computed root-final summaries (from the
-        on-disk cache or a parallel worker) into the memo table.  Seeded
-        values must be root-final — i.e. produced by this class — or the
-        determinism contract breaks."""
+        on-disk cache or an earlier incremental build) into the memo
+        table.  Seeded values must be root-final — i.e. produced by this
+        class — or the determinism contract breaks."""
         for summary in summaries:
             self._summaries[summary.method.signature.signature] = summary
 

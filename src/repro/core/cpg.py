@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.controllability import ControllabilityAnalysis, MethodSummary
-from repro.core.parallel import ParallelConfig, parallel_summary_records
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
 from repro.core.summary_cache import (
@@ -33,6 +32,7 @@ from repro.core.summary_cache import (
     dependency_closures,
     encode_summary,
 )
+from repro.errors import AnalysisError
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.model import JavaClass, JavaMethod
@@ -73,7 +73,7 @@ CPG_INDEX_ORDER = (
 @dataclass
 class CPGStatistics:
     """The counters Table VIII reports per corpus, plus per-phase
-    timings and cache/parallel counters for the scaling pipeline."""
+    timings and summary-cache counters."""
 
     jar_count: int = 0
     class_node_count: int = 0
@@ -83,8 +83,6 @@ class CPGStatistics:
     build_seconds: float = 0.0
     #: wall-clock per build phase: summaries / org / pcg / mag
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: worker processes used for the summary phase (0 = serial)
-    parallel_workers: int = 0
     #: methods analysed by Algorithm 1 this build
     analyzed_method_count: int = 0
     #: methods whose summaries came from the on-disk cache
@@ -103,7 +101,7 @@ class CPGStatistics:
         }
 
     def profile_lines(self) -> List[str]:
-        """Human-readable per-phase/cache/worker report (``--profile``)."""
+        """Human-readable per-phase/cache report (``--profile``)."""
         lines = []
         for phase in ("summaries", "org", "pcg", "mag"):
             if phase in self.phase_seconds:
@@ -117,10 +115,6 @@ class CPGStatistics:
                 f"summary cache: {self.cache_hits} class hits, "
                 f"{self.cache_misses} misses"
             )
-        lines.append(
-            "summary workers: "
-            + (str(self.parallel_workers) if self.parallel_workers else "serial")
-        )
         lines.append(f"total build: {self.build_seconds:.3f}s")
         return lines
 
@@ -179,7 +173,7 @@ class CPGBuilder:
         sinks: Optional[SinkCatalog] = None,
         sources: Optional[SourceCatalog] = None,
         prune_uncontrollable_calls: bool = True,
-        parallel: Optional[Union[ParallelConfig, int]] = None,
+        parallel: int = 1,
         cache: Optional[Union[SummaryCache, str]] = None,
         max_recursion_depth: int = 64,
     ):
@@ -189,12 +183,10 @@ class CPGBuilder:
         #: ablation hook: keep all-∞ call edges (turns the PCG back into
         #: the raw MCG, as the paper's baselines effectively use)
         self.prune_uncontrollable_calls = prune_uncontrollable_calls
-        if isinstance(parallel, int):
-            # int shorthand: 1 = serial, N>1 = N workers, 0 = one per CPU
-            parallel = (
-                ParallelConfig(workers=parallel) if parallel != 1 else None
-            )
-        self.parallel = parallel
+        if parallel != 1:
+            # the summary phase runs in-process; the keyword stays only
+            # for callers that still spell out the serial default
+            raise AnalysisError(f"parallel must be 1, got {parallel!r}")
         if isinstance(cache, str):
             cache = SummaryCache(
                 cache, catalog_token(self.sinks, self.sources)
@@ -245,9 +237,6 @@ class CPGBuilder:
             pruned_call_sites=pruned,
             build_seconds=time.perf_counter() - started,
             phase_seconds=phases,
-            parallel_workers=(
-                self.parallel.resolved_workers() if self.parallel else 0
-            ),
             analyzed_method_count=analyzed,
             cached_method_count=cached,
             cache_hits=self.cache.stats.hits if self.cache else 0,
@@ -255,16 +244,15 @@ class CPGBuilder:
         )
         return CPG(graph, self.hierarchy, stats, summaries)
 
-    # -- summary phase (Algorithm 1, cached and/or sharded) -----------------
+    # -- summary phase (Algorithm 1, cached) ---------------------------------
 
     def _compute_summaries(self) -> Tuple[Dict[str, MethodSummary], int, int]:
         """Summaries for every body-carrying method, in sorted key
         order.  Returns ``(summaries, analyzed_count, cached_count)``.
 
         The cache is consulted per class; missed classes are analysed
-        (serially or across the worker pool) with the hits seeded into
-        the memo table, then written back.  Root-final determinism makes
-        every combination of {serial, parallel} x {cold, warm} produce
+        with the hits seeded into the memo table, then written back.
+        Root-final determinism makes cold and warm builds produce
         identical values.
         """
         all_classes = self.hierarchy.classes
@@ -309,18 +297,7 @@ class CPGBuilder:
             if m.has_body
         ]
 
-        if self.parallel is not None and missed_classes:
-            records, _recursive, par_tainted = parallel_summary_records(
-                all_classes,
-                [cls.name for cls in missed_classes],
-                self.parallel,
-                max_recursion_depth=self.max_recursion_depth,
-            )
-            tainted = set(par_tainted)
-            for record in records:
-                summary = decode_summary(record, self.hierarchy)
-                summaries[summary.method.signature.signature] = summary
-        elif missed_classes:
+        if missed_classes:
             analysis = ControllabilityAnalysis(
                 self.hierarchy, max_recursion_depth=self.max_recursion_depth
             )

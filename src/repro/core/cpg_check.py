@@ -2,7 +2,7 @@
 
 The CPG construction pipeline (:mod:`repro.core.cpg`) promises a set of
 invariants that downstream consumers — the path finder, the bench
-harness, cached/parallel rebuilds — silently rely on:
+harness, cached and incremental rebuilds — silently rely on:
 
 * every ``CALL`` edge's ``POLLUTED_POSITION`` vector has exactly
   ``callee arity + 1`` entries (receiver slot + one per parameter,

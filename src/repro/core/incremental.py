@@ -120,7 +120,6 @@ class ChainSearchConfig:
     max_results_per_sink: Optional[int] = 200
     uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH
     optimize: bool = True
-    workers: int = 1
 
 
 @dataclass
@@ -373,7 +372,6 @@ class IncrementalAnalyzer:
             sinks=session.sinks,
             sources=session.sources,
             prune_uncontrollable_calls=session.prune_uncontrollable_calls,
-            parallel=None,
             cache=session.cache,
             max_recursion_depth=session.max_recursion_depth,
         )
@@ -406,7 +404,6 @@ class IncrementalAnalyzer:
             sinks=self.sinks,
             sources=self.sources,
             prune_uncontrollable_calls=self.prune_uncontrollable_calls,
-            parallel=None,
             cache=self.cache,
             max_recursion_depth=self.max_recursion_depth,
         )
@@ -490,7 +487,6 @@ class IncrementalAnalyzer:
             max_results_per_sink=cfg.max_results_per_sink,
             uniqueness=cfg.uniqueness,
             optimize=cfg.optimize,
-            workers=cfg.workers,
         )
 
     @staticmethod

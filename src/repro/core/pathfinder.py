@@ -18,7 +18,7 @@ Trigger_Condition as per-path state:
 Accepted paths are reversed into :class:`GadgetChain` objects
 (source -> ... -> sink).
 
-The search runs on an optimized engine by default.  Three throughput
+The search runs on an optimized engine by default.  Two throughput
 layers sit on top of the plain Expander/Evaluator enumeration, each
 provably result-preserving (the differential harness in
 ``tests/core/test_search_equivalence.py`` asserts bit-identical chain
@@ -41,11 +41,7 @@ sets against the baseline engine):
   enumerated exhaustively, so the chain set (and its enumeration
   order, hence ``max_results`` truncation) is unchanged by
   construction.  Disabled under ``NODE_GLOBAL``, whose global visited
-  set makes subtree outcomes order-dependent;
-* **per-sink parallelism** — sinks fan out across a process pool
-  (:mod:`repro.core.search_parallel`), LPT-packed by CALL in-degree,
-  and the per-sink chain lists are merged back in sink order, which is
-  exactly the serial concatenation order, before deduplication.
+  set makes subtree outcomes order-dependent.
 
 ``optimize=False`` restores the baseline engine (the generic
 :func:`repro.graphdb.traversal.traverse` enumeration) bit-for-bit.
@@ -82,20 +78,6 @@ __all__ = ["GadgetChainFinder", "SearchStatistics"]
 #: way; the negative cache simply does not apply)
 _MAX_RECURSIVE_DEPTH = 400
 
-#: counter fields accumulated across parallel search workers
-_MERGE_COUNTERS = (
-    "paths_visited",
-    "call_edges_followed",
-    "call_edges_rejected",
-    "alias_hops",
-    "depth_pruned",
-    "filtered_sources",
-    "reachability_pruned",
-    "negative_cache_hits",
-    "negative_cache_entries",
-    "rta_pruned",
-)
-
 
 @dataclass
 class SearchStatistics:
@@ -130,17 +112,10 @@ class SearchStatistics:
     negative_cache_entries: int = 0
     #: expansions refused over RTA-dead dispatch edges (``skip_rta_dead``)
     rta_pruned: int = 0
-    #: worker processes used for the per-sink fan-out (0 = serial)
-    parallel_workers: int = 0
     #: wall-clock per search phase: reachability / search / dedupe
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: total wall-clock of the last find_chains() call
     search_seconds: float = 0.0
-
-    def merge_counters(self, other: "SearchStatistics") -> None:
-        """Accumulate a worker's per-shard counters into this object."""
-        for name in _MERGE_COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def profile_lines(self) -> List[str]:
         """Human-readable per-phase/prune/cache report (``--profile``)."""
@@ -163,34 +138,20 @@ class SearchStatistics:
             f"negative cache: {self.negative_cache_hits} hits, "
             f"{self.negative_cache_entries} states recorded"
         )
-        lines.append(
-            "search workers: "
-            + (str(self.parallel_workers) if self.parallel_workers else "serial")
-        )
         lines.append(f"total search: {self.search_seconds:.3f}s")
         return lines
 
 
-#: a picklable accept-filter description: ``None`` (accept everything),
-#: ``("prefix", class_name_prefix)`` for ``source_filter``, or
-#: ``("exact", class_name, method_name)`` for ``find_between``
-AcceptSpec = Optional[Tuple[str, ...]]
+#: which source nodes the Evaluator accepts; ``None`` accepts every source
+AcceptFilter = Optional[Callable[[Node], bool]]
 
 
-def _make_accept(spec: AcceptSpec) -> Optional[Callable[[Node], bool]]:
-    if spec is None:
+def _prefix_filter(prefix: Optional[str]) -> AcceptFilter:
+    """The ``source_filter`` accept filter: sources whose class name
+    starts with ``prefix``."""
+    if not prefix:
         return None
-    kind = spec[0]
-    if kind == "prefix":
-        prefix = spec[1]
-        return lambda node: str(node.get("CLASSNAME", "?")).startswith(prefix)
-    if kind == "exact":
-        class_name, method_name = spec[1], spec[2]
-        return (
-            lambda node: node.get("CLASSNAME") == class_name
-            and node.get("NAME") == method_name
-        )
-    raise PathFinderError(f"unknown accept spec kind: {kind!r}")
+    return lambda node: str(node.get("CLASSNAME", "?")).startswith(prefix)
 
 
 class GadgetChainFinder:
@@ -211,6 +172,10 @@ class GadgetChainFinder:
     ):
         if max_depth < 1:
             raise PathFinderError("max_depth must be >= 1")
+        if workers != 1:
+            # the search runs in-process; the keyword stays only for
+            # callers that still spell out the serial default
+            raise PathFinderError(f"workers must be 1, got {workers!r}")
         self.cpg = cpg
         self.max_depth = max_depth
         self.max_results_per_sink = max_results_per_sink
@@ -223,9 +188,6 @@ class GadgetChainFinder:
         #: individual layer toggles; ``None`` follows :attr:`optimize`
         self.prune_unreachable = optimize if prune_unreachable is None else prune_unreachable
         self.negative_cache = optimize if negative_cache is None else negative_cache
-        #: per-sink fan-out: 1 = in-process serial, 0 = one worker per
-        #: CPU, N>1 = N worker processes; results are identical to serial
-        self.workers = workers
         #: skip CALL/ALIAS edges carrying the ``RTA_DEAD`` annotation
         #: written by :func:`repro.analysis.rta.annotate_type_reachability`
         #: (no-op on an unannotated CPG); differential-tested equivalent
@@ -233,7 +195,7 @@ class GadgetChainFinder:
         self.skip_rta_dead = skip_rta_dead
         #: diagnostics from the most recent find_chains() run
         self.last_search_stats = SearchStatistics()
-        self._accept: Optional[Callable[[Node], bool]] = None
+        self._accept: AcceptFilter = None
         self._reachable: Optional[Set[int]] = None
 
     # -- Algorithm 2: Expander -------------------------------------------
@@ -470,8 +432,7 @@ class GadgetChainFinder:
         filtered-out chains never consume the ``max_results_per_sink``
         budget.
         """
-        spec: AcceptSpec = ("prefix", source_filter) if source_filter else None
-        return self._find(sink_nodes, spec)
+        return self._find(sink_nodes, _prefix_filter(source_filter))
 
     def find_between(
         self, source_node: Node, sink_node: Node
@@ -480,29 +441,23 @@ class GadgetChainFinder:
         workflow: "check for the existence of a gadget chain between any
         source and sink", §III-D).  The source restriction runs inside
         the Evaluator — no unrestricted search plus post-filter."""
-        spec: AcceptSpec = (
-            "exact",
-            source_node.get("CLASSNAME"),
-            source_node.get("NAME"),
+        class_name = source_node.get("CLASSNAME")
+        method_name = source_node.get("NAME")
+        return self._find(
+            [sink_node],
+            lambda node: node.get("CLASSNAME") == class_name
+            and node.get("NAME") == method_name,
         )
-        return self._find([sink_node], spec)
 
     # -- orchestration ------------------------------------------------------
 
-    def _resolved_workers(self) -> int:
-        if self.workers == 1:
-            return 1
-        from repro.core.parallel import available_cpus
-
-        return self.workers if self.workers > 0 else available_cpus()
-
     def _find(
-        self, sink_nodes: Optional[Sequence[Node]], accept_spec: AcceptSpec
+        self, sink_nodes: Optional[Sequence[Node]], accept: AcceptFilter
     ) -> List[GadgetChain]:
         started = time.perf_counter()
         sinks = list(sink_nodes) if sink_nodes is not None else self.cpg.sink_nodes()
         stats = self.last_search_stats = SearchStatistics(sinks_searched=len(sinks))
-        per_sink = self._per_sink_chains(sinks, accept_spec, stats)
+        per_sink = self._per_sink_chains(sinks, accept, stats)
         chains: List[GadgetChain] = [c for bucket in per_sink for c in bucket]
         t0 = time.perf_counter()
         deduped = dedupe_chains(chains)
@@ -526,11 +481,10 @@ class GadgetChainFinder:
         deduplicating the concatenation in full sink order reproduces
         :meth:`find_chains` exactly.
         """
-        spec: AcceptSpec = ("prefix", source_filter) if source_filter else None
         started = time.perf_counter()
         sinks = list(sink_nodes)
         stats = self.last_search_stats = SearchStatistics(sinks_searched=len(sinks))
-        per_sink = self._per_sink_chains(sinks, spec, stats)
+        per_sink = self._per_sink_chains(sinks, _prefix_filter(source_filter), stats)
         stats.chains_found = sum(len(bucket) for bucket in per_sink)
         stats.search_seconds = time.perf_counter() - started
         return per_sink
@@ -538,13 +492,13 @@ class GadgetChainFinder:
     def _per_sink_chains(
         self,
         sinks: List[Node],
-        accept_spec: AcceptSpec,
+        accept: AcceptFilter,
         stats: SearchStatistics,
     ) -> List[List[GadgetChain]]:
-        """Reachability precomputation plus the per-sink fan-out; the
+        """Reachability precomputation plus one search per sink; the
         chain lists come back in sink order, pre-dedupe."""
         graph = self.cpg.graph
-        self._accept = _make_accept(accept_spec)
+        self._accept = accept
         self._reachable = None
         if self.prune_unreachable:
             t0 = time.perf_counter()
@@ -552,18 +506,7 @@ class GadgetChainFinder:
             stats.reachable_nodes = len(self._reachable)
             stats.phase_seconds["reachability"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        workers = self._resolved_workers()
-        if workers > 1 and len(sinks) > 1:
-            from repro.core.search_parallel import parallel_find_chains
-
-            stats.parallel_workers = workers
-            per_sink, worker_stats = parallel_find_chains(
-                self, sinks, accept_spec, workers
-            )
-            for shard_stats in worker_stats:
-                stats.merge_counters(shard_stats)
-        else:
-            per_sink = [self._chains_for_sink(graph, sink) for sink in sinks]
+        per_sink = [self._chains_for_sink(graph, sink) for sink in sinks]
         stats.phase_seconds["search"] = time.perf_counter() - t0
         return per_sink
 

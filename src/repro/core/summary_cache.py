@@ -27,8 +27,8 @@ The cache is safe by construction:
   worst a stale temp file, not a truncated entry.
 
 The portable record codec (:func:`encode_summary` /
-:func:`decode_summary`) is shared with :mod:`repro.core.parallel`,
-which ships the same records across process boundaries.
+:func:`decode_summary`) is shared with :mod:`repro.core.incremental`,
+which re-binds kept summaries to a patched hierarchy through it.
 """
 
 from __future__ import annotations

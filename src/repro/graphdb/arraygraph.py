@@ -232,8 +232,8 @@ class ArrayGraph:
     @property
     def path(self) -> Optional[str]:
         """The snapshot file backing this view (None for in-memory
-        bytes) — lets multiprocess consumers re-open the same physical
-        pages instead of shipping the graph."""
+        bytes); another process can re-open it to share the same
+        physical pages."""
         return self._path
 
     def close(self) -> None:

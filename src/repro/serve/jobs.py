@@ -22,9 +22,9 @@ concurrency battery (``tests/serve/test_concurrency.py``) asserts the
 exactly-one-computation-per-hash consequence directly.
 
 Workers are *threads*, not processes: one job's pipeline is the same
-single-process code path the CLI runs (``Tabby(workers=1)``), so N
-service workers bound memory at N live CPGs while the summary cache
-(``cache_dir``) is shared across all of them, processes included.
+single-process code path the CLI runs, so N service workers bound
+memory at N live CPGs while the summary cache (``cache_dir``) is
+shared across all of them, processes included.
 """
 
 from __future__ import annotations
@@ -665,7 +665,6 @@ class JobManager:
         tabby = Tabby(
             sinks=self.sinks,
             sources=sources,
-            workers=1,
             cache_dir=self.cache_dir,
         ).add_classes(classes)
         job.phase = "build_cpg"
@@ -728,7 +727,6 @@ class JobManager:
         tabby = Tabby(
             sinks=self.sinks,
             sources=sources,
-            workers=1,
             cache_dir=self.cache_dir,
         )
         job.phase = "diff"
@@ -840,11 +838,7 @@ class JobManager:
         cpg = CPG(graph, ClassHierarchy([]), statistics, {})
         job.progress["cpg"] = _cpg_row(statistics)
         job.phase = "search"
-        finder = GadgetChainFinder(
-            cpg,
-            max_depth=options["max_depth"],
-            workers=1,
-        )
+        finder = GadgetChainFinder(cpg, max_depth=options["max_depth"])
         chains = finder.find_chains(source_filter=options["source_filter"])
         job.progress["search"] = _search_row(finder.last_search_stats)
         job.phase = "fingerprint"
@@ -881,11 +875,7 @@ class JobManager:
         job.progress["cpg"] = _cpg_row(cpg.statistics)
         job.progress["version"] = int(job.submission.payload[0])
         job.phase = "search"
-        finder = GadgetChainFinder(
-            cpg,
-            max_depth=options["max_depth"],
-            workers=1,
-        )
+        finder = GadgetChainFinder(cpg, max_depth=options["max_depth"])
         chains = finder.find_chains(source_filter=options["source_filter"])
         job.progress["search"] = _search_row(finder.last_search_stats)
         job.phase = "fingerprint"

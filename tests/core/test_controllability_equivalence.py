@@ -36,7 +36,8 @@ CLIQUE_COMPONENTS = ("Clojure", "Jython1")
 
 def run(engine, classes, roots=None, seeded=(), tainted=(), **kwargs):
     """Analyse ``roots`` (methods, in the given order) then everything
-    else, the way the CPG builder and shard workers drive an analysis."""
+    else, the way the CPG builder and the incremental analyzer drive an
+    analysis."""
     analysis = engine(ClassHierarchy(classes), **kwargs)
     analysis.seed_summaries(seeded)
     analysis.cycle_tainted.update(tainted)

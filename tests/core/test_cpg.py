@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.cpg import ALIAS, CALL, CPGBuilder, EXTEND, HAS, INTERFACE
 from repro.core.sources import SourceCatalog
+from repro.errors import AnalysisError
+from repro.graphdb.snapshot import graph_fingerprint
 from repro.jvm.builder import ProgramBuilder
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.model import SERIALIZABLE
@@ -210,3 +212,18 @@ class TestMarkers:
         assert s.method_node_count >= 4
         assert s.relationship_edge_count == cpg.graph.relationship_count
         assert s.build_seconds >= 0
+
+
+class TestBuilderConfig:
+    def test_parallel_keyword_accepts_only_one(self):
+        """The summary phase runs in-process: ``parallel=1`` builds,
+        any other value raises instead of silently running serially."""
+        pb = ProgramBuilder(jar="test.jar")
+        demo_program(pb)
+        hierarchy = ClassHierarchy(pb.build())
+        default = CPGBuilder(hierarchy).build()
+        explicit = CPGBuilder(hierarchy, parallel=1).build()
+        assert graph_fingerprint(explicit.graph) == graph_fingerprint(default.graph)
+        for parallel in (0, 2, None):
+            with pytest.raises(AnalysisError, match="parallel must be 1"):
+                CPGBuilder(hierarchy, parallel=parallel)

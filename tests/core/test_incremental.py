@@ -113,7 +113,6 @@ def cold_reference(classes, cfg: ChainSearchConfig):
         max_results_per_sink=cfg.max_results_per_sink,
         uniqueness=cfg.uniqueness,
         optimize=cfg.optimize,
-        workers=cfg.workers,
     )
     per_sink = finder.find_chains_per_sink(
         cpg.sink_nodes(), source_filter=cfg.source_filter

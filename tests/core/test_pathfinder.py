@@ -161,6 +161,15 @@ class TestFinderConfig:
         with pytest.raises(PathFinderError):
             GadgetChainFinder(hand_built_cpg(g), max_depth=0)
 
+    def test_workers_keyword_accepts_only_one(self):
+        """The search runs in-process: ``workers=1`` builds a finder,
+        any other count raises instead of silently running serially."""
+        cpg = hand_built_cpg(PropertyGraph())
+        GadgetChainFinder(cpg, workers=1)
+        for workers in (0, 2):
+            with pytest.raises(PathFinderError, match="workers must be 1"):
+                GadgetChainFinder(cpg, workers=workers)
+
     def test_source_filter(self):
         g = PropertyGraph()
         sink = method_node(g, "exec", sink=True, tc=[0])
@@ -461,23 +470,3 @@ class TestSourceFilterBudget:
         finder = GadgetChainFinder(hand_built_cpg(g))
         chains = finder.find_chains(source_filter="org.good")
         assert [c.source.class_name for c in chains] == ["org.good.T"]
-
-
-class TestParallelSearch:
-    def test_workers_match_serial_on_mini_cpg(self):
-        g = PropertyGraph()
-        sources = []
-        for i in range(4):
-            sink = method_node(g, f"exec{i}", cls=f"s{i}", sink=True, tc=[0])
-            mid = method_node(g, f"mid{i}", cls=f"s{i}")
-            src = method_node(g, "readObject", cls=f"s{i}", source=True)
-            call(g, mid, sink, [0])
-            call(g, src, mid, [0])
-            sources.append(src)
-        serial = GadgetChainFinder(hand_built_cpg(g), workers=1)
-        fanned = GadgetChainFinder(hand_built_cpg(g), workers=2)
-        assert ([c.key for c in serial.find_chains()]
-                == [c.key for c in fanned.find_chains()])
-        assert fanned.last_search_stats.parallel_workers == 2
-        assert (fanned.last_search_stats.paths_visited
-                == serial.last_search_stats.paths_visited)

@@ -1,9 +1,9 @@
 """Differential harness: every search engine mode reproduces baseline.
 
 The optimized gadget-chain search (typed adjacency + source-reachability
-pruning + negative state caching + per-sink process fan-out) promises a
-chain list *bit-identical* to the baseline engine — same chains, same
-steps, same order — under every Uniqueness mode, filter, and budget.
+pruning + negative state caching) promises a chain list *bit-identical*
+to the baseline engine — same chains, same steps, same order — under
+every Uniqueness mode, filter, and budget.
 These tests assert exactly that on real corpus CPGs; the ``slow`` sweep
 covers every Table IX component plus the merged corpus.
 
@@ -63,13 +63,6 @@ def test_optimized_matches_baseline(corpus_cpg, mode):
     assert optimized == baseline
 
 
-@pytest.mark.parametrize("mode", ALL_MODES, ids=[m.name for m in ALL_MODES])
-def test_parallel_matches_baseline(corpus_cpg, mode):
-    baseline = find(corpus_cpg, uniqueness=mode, optimize=False)
-    fanned = find(corpus_cpg, uniqueness=mode, optimize=True, workers=2)
-    assert fanned == baseline
-
-
 def test_each_layer_alone_matches_baseline(corpus_cpg):
     baseline = find(corpus_cpg, optimize=False)
     prune_only = find(
@@ -85,7 +78,7 @@ def test_each_layer_alone_matches_baseline(corpus_cpg):
 def test_source_filter_matches_baseline(corpus_cpg):
     for prefix in ("java.util", "org.clojure", "com"):
         base = GadgetChainFinder(corpus_cpg, optimize=False)
-        opt = GadgetChainFinder(corpus_cpg, optimize=True, workers=2)
+        opt = GadgetChainFinder(corpus_cpg, optimize=True)
         assert chain_fingerprint(
             opt.find_chains(source_filter=prefix)
         ) == chain_fingerprint(base.find_chains(source_filter=prefix))
@@ -117,19 +110,13 @@ def test_no_alias_matches_baseline(corpus_cpg):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", COMPONENT_NAMES)
 def test_full_component_sweep(name):
-    """Every Table IX component, every Uniqueness mode, serial and
-    fanned out — one barrier of truth for the optimized engine."""
+    """Every Table IX component, every Uniqueness mode — one barrier of
+    truth for the optimized engine."""
     cpg = build_cpg(component_classes(name))
     for mode in ALL_MODES:
         baseline = find(cpg, uniqueness=mode, optimize=False)
-        for label, candidate in [
-            ("optimized", find(cpg, uniqueness=mode, optimize=True)),
-            (
-                "optimized+workers=2",
-                find(cpg, uniqueness=mode, optimize=True, workers=2),
-            ),
-        ]:
-            assert candidate == baseline, f"{name}: {label} ({mode.name})"
+        optimized = find(cpg, uniqueness=mode, optimize=True)
+        assert optimized == baseline, f"{name}: optimized ({mode.name})"
 
 
 @pytest.mark.slow
@@ -142,6 +129,3 @@ def test_merged_corpus_sweep():
     for mode in ALL_MODES:
         baseline = find(cpg, uniqueness=mode, optimize=False)
         assert find(cpg, uniqueness=mode, optimize=True) == baseline
-        assert (
-            find(cpg, uniqueness=mode, optimize=True, workers=4) == baseline
-        )

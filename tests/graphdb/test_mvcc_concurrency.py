@@ -112,7 +112,7 @@ def test_chain_search_readers_during_incremental_updates():
             relationship_edge_count=snapshot.relationship_count,
         )
         view = CPG(snapshot, ClassHierarchy([]), statistics, {})
-        finder = GadgetChainFinder(view, max_depth=12, workers=1)
+        finder = GadgetChainFinder(view, max_depth=12)
         return sorted(
             (tuple(s.qualified for s in chain.steps), chain.sink_category)
             for chain in finder.find_chains()

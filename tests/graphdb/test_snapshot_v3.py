@@ -12,8 +12,7 @@ The contract under test, in three layers:
   uniqueness mode) bit-identically to the ``PropertyGraph`` the
   snapshot was written from, and materializes fingerprint-identically;
 * **sharing** — two separate processes traversing one v3 file get
-  bit-identical chain lists, and the parallel search's worker transport
-  preserves node ids so no renumbering happens anywhere.
+  bit-identical chain lists.
 """
 
 import multiprocessing
@@ -316,15 +315,6 @@ def test_chains_identical_over_mmap_view(corpus_cpg, v3_path, mode):
     view.close()
 
 
-def test_chains_identical_with_parallel_workers(corpus_cpg, v3_path):
-    """The path transport: parallel workers re-open the parent's mmap'd
-    snapshot and must reproduce the serial chain list exactly."""
-    baseline = chain_fingerprint(corpus_cpg)
-    view = open_graph(v3_path)
-    assert chain_fingerprint(view_as_cpg(view), workers=2) == baseline
-    view.close()
-
-
 # ---------------------------------------------------------------------------
 # Cross-process sharing
 # ---------------------------------------------------------------------------
@@ -353,53 +343,3 @@ def test_two_processes_same_mmap_identical_chains(corpus_cpg, v3_path):
     baseline = chain_fingerprint(corpus_cpg)
     assert results[0] == baseline
     assert results[1] == baseline
-
-
-class TestWorkerTransport:
-    """search_parallel's graph shipping preserves node ids."""
-
-    def test_v2_bytes_preserve_dense_ids(self):
-        g = small_graph()
-        decoded = decode_snapshot(encode_snapshot(g))
-        assert [n.id for n in decoded.nodes()] == [n.id for n in g.nodes()]
-        assert [r.id for r in decoded.relationships()] \
-            == [r.id for r in g.relationships()]
-
-    def _config(self):
-        return {
-            "max_depth": 12,
-            "max_results_per_sink": 200,
-            "follow_alias": True,
-            "uniqueness": Uniqueness.RELATIONSHIP_PATH.value,
-            "optimize": True,
-            "prune_unreachable": True,
-            "negative_cache": True,
-            "skip_rta_dead": False,
-            "accept_spec": None,
-        }
-
-    def test_worker_init_path_transport(self, v3_path, corpus_cpg):
-        from repro.core import search_parallel as sp
-
-        sp._worker_init(("path", v3_path), self._config())
-        try:
-            assert isinstance(sp._WORKER_FINDER.cpg.graph, ArrayGraph)
-            assert (
-                sp._WORKER_FINDER.cpg.graph.node_count
-                == corpus_cpg.graph.node_count
-            )
-        finally:
-            sp._WORKER_FINDER = None
-
-    def test_worker_init_snapshot_transport(self):
-        from repro.core import search_parallel as sp
-
-        g = small_graph()
-        sp._worker_init(("snapshot", encode_snapshot(g)), self._config())
-        try:
-            worker_graph = sp._WORKER_FINDER.cpg.graph
-            assert graph_fingerprint(worker_graph) == graph_fingerprint(g)
-            assert [n.id for n in worker_graph.nodes()] \
-                == [n.id for n in g.nodes()]
-        finally:
-            sp._WORKER_FINDER = None

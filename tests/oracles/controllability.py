@@ -142,9 +142,9 @@ class ControllabilityAnalysis:
 
     def seed_summaries(self, summaries: Iterable[MethodSummary]) -> None:
         """Install externally computed root-final summaries (from the
-        on-disk cache or a parallel worker) into the memo table.  Seeded
-        values must be root-final — i.e. produced by this class — or the
-        determinism contract breaks."""
+        on-disk cache or an earlier incremental build) into the memo
+        table.  Seeded values must be root-final — i.e. produced by this
+        class — or the determinism contract breaks."""
         for summary in summaries:
             self._summaries[summary.method.signature.signature] = summary
 

@@ -21,14 +21,14 @@ from tests.serve.bundles import Client, gadget_classes
 def cpg_path(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("live")
     path = str(tmp / "live.cpg")
-    Tabby(workers=1).add_classes(gadget_classes("live")).save_cpg(path)
+    Tabby().add_classes(gadget_classes("live")).save_cpg(path)
     return path
 
 
 @pytest.fixture(scope="module")
 def snapshot_dir(tmp_path_factory, cpg_path):
     tmp = tmp_path_factory.mktemp("snaps")
-    Tabby(workers=1).add_classes(gadget_classes("snap")).save_cpg(
+    Tabby().add_classes(gadget_classes("snap")).save_cpg(
         str(tmp / "prog.cpg")
     )
     return str(tmp)

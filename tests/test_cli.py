@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -370,34 +372,73 @@ class TestLintCommand:
 
 
 class TestWorkersValidation:
-    """--workers 0/negative is bad input (exit 2) on every subcommand
-    that accepts it; 'auto' is the explicit one-per-CPU spelling."""
+    """Only ``tabby serve`` has --workers (its job threads): 0, negative
+    and non-numeric counts are bad input there, and 'auto' is the
+    explicit one-per-CPU spelling.  The batch commands run in one
+    process, so --workers with any value is a usage error.  Both exit 2."""
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "x", "--workers", "0"],
-        ["analyze", "x", "--workers", "-2"],
-        ["chains", "x", "--workers", "0"],
-        ["chains", "x", "--workers", "-1"],
-        ["bench", "table9", "--workers", "0"],
-        ["bench", "table9", "--workers", "-4"],
+        ["analyze", "x", "--workers", "2"],
+        ["analyze", "x", "--workers", "1"],
+        ["chains", "x", "--workers", "2"],
+        ["chains", "x", "--workers", "auto"],
+        ["diff", "old", "new", "--workers", "2"],
+        ["bench", "table9", "--workers", "2"],
         ["serve", "--workers", "0"],
         ["serve", "--workers", "-3"],
-        ["analyze", "x", "--workers", "many"],
+        ["serve", "--workers", "many"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "worker count" in capsys.readouterr().err
+        assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "x", "--workers", "auto"],
-        ["chains", "x", "--workers", "auto"],
         ["serve", "--workers", "auto"],
+        ["serve", "--workers=auto"],
+        ["serve", "--port", "0", "--workers", "auto", "--cache-dir", "c"],
     ])
     def test_auto_is_accepted(self, argv):
         args = build_parser().parse_args(argv)
         assert args.workers == 0  # resolved to one-per-CPU downstream
+
+
+class TestDiffCommand:
+    def test_json_profile_keeps_stdout_and_reports_on_stderr(self, jar_dir,
+                                                            capsys):
+        """--profile composes with --json: stdout is exactly the JSON
+        document, and the incremental rows go to stderr."""
+        assert main(["diff", jar_dir, jar_dir, "--json", "--profile"]) == 0
+        captured = capsys.readouterr()
+        document = json.loads(captured.out)
+        assert captured.out == json.dumps(document, indent=2) + "\n"
+        assert document["schema"] == "tabby-diff/v1"
+        assert captured.err.splitlines() == [
+            f"diff {key}: {value}"
+            for key, value in document["incremental"].items()
+        ]
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_out_process_pools(self):
+        """Every tabby process imports repro.cli and runs in one
+        process, so it must not pay for multiprocessing or
+        concurrent.futures."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestServeValidation:
