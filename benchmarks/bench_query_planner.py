@@ -18,7 +18,8 @@ enough for short-circuiting to matter):
   sort-everything-then-slice.
 
 Every workload's planned row multiset is compared against the naive
-engine's (and, where ORDER BY pins a total order, the exact row lists);
+engine's — the reference interpreter in ``tests/oracles/query.py`` —
+(and, where ORDER BY pins a total order, the exact row lists);
 any divergence makes the script exit non-zero.  Results are recorded to
 ``BENCH_query.json``.  ``--smoke`` uses a two-component corpus and skips
 the speedup assertion (identity is always enforced) — that is what CI
@@ -33,6 +34,7 @@ import time
 from collections import Counter
 
 sys.path.insert(0, "src")
+sys.path.insert(0, ".")  # the repo root, for the tests.oracles reference engine
 
 from repro.core.cpg import CPGBuilder
 from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
@@ -40,6 +42,7 @@ from repro.graphdb.plan import build_plan
 from repro.graphdb.query import _hashable, parse_query, run_query
 from repro.jvm.hierarchy import ClassHierarchy
 from smoke_guard import refuses_smoke_overwrite
+from tests.oracles.query import run_naive_query
 
 REPETITIONS = 3
 
@@ -101,12 +104,12 @@ def row_multiset(result):
     )
 
 
-def timed_query(graph, cypher, repetitions=REPETITIONS, **kwargs):
+def timed_query(graph, cypher, repetitions=REPETITIONS, engine=run_query, **kwargs):
     best = float("inf")
     result = None
     for _ in range(repetitions):
         started = time.perf_counter()
-        result = run_query(graph, cypher, **kwargs)
+        result = engine(graph, cypher, **kwargs)
         best = min(best, time.perf_counter() - started)
     return best, result
 
@@ -143,7 +146,7 @@ def main(argv=None):
     gate_speedup = None
     for workload in WORKLOADS:
         name, cypher = workload["name"], workload["cypher"]
-        naive_s, naive = timed_query(graph, cypher, optimize=False)
+        naive_s, naive = timed_query(graph, cypher, engine=run_naive_query)
         planned_s, planned = timed_query(graph, cypher)
         _, profiled = timed_query(graph, cypher, repetitions=1, profile=True)
 

@@ -1,4 +1,4 @@
-"""Storage benchmark: v3 mmap / v2 binary / v1 JSON snapshots.
+"""Storage benchmark: v3 mmap / v1 JSON snapshots.
 
 Two workloads, both rooted in the 26-component Table IX corpus:
 
@@ -21,13 +21,14 @@ format additionally records its zero-copy *open* latency — mmap plus
 header validation, no decoding — and an N-process concurrent-reader
 measurement: 8 spawned readers each open the same corpus snapshot, run
 the probe query, and report their PSS delta while all 8 hold the graph
-simultaneously.  mmap'd pages are shared, so the v3 total collapses
-where 8 independent v2 decodes each pay full freight.
+simultaneously; then 8 more each fully decode the same file.  mmap'd
+pages are shared, so the zero-copy total collapses where 8 independent
+decodes each pay full freight.
 
 Identity gates run in every mode, smoke included:
 
 * ``load_graph(save_graph(g))`` is :func:`graph_fingerprint`-identical
-  to ``g`` under all three formats;
+  to ``g`` under both formats;
 * the gadget-chain search over the reloaded graph — and, for v3, over
   the *mmap'd zero-copy view* — is bit-identical to the search over
   the in-memory original;
@@ -35,12 +36,13 @@ Identity gates run in every mode, smoke included:
   bit-identical rows.
 
 Results go to ``BENCH_storage.json``.  The full run asserts per
-workload: v2 loads >=1.5x faster than v1 and produces a smaller file
-(the floor leaves headroom for shared CI hosts — quiet machines
-measure well above it, and the report records the actual ratio each
-run); v3 opens >=10x
-faster than a v2 full decode on the merged corpus; and 8 v3 readers
-of one snapshot cost <=0.5x the memory of 8 independent v2 decodes.
+workload that a full v3 decode is >=1.5x faster than a v1 load (the
+floor leaves headroom for shared CI hosts — quiet machines measure well
+above it, and the report records the actual ratio each run); that v3
+opens >=10x faster than a full v3 decode of the same file on the merged
+corpus; and that 8 zero-copy readers of one snapshot cost <=0.5x the
+memory of 8 independent full decodes of it.  File size carries no gate:
+v3 is deliberately uncompressed (it is the mmap'd in-memory layout).
 ``--smoke`` uses a two-component corpus and skips the performance
 gates (identity is always enforced), which is what CI runs.
 A ``--smoke`` run refuses to overwrite a full-mode results file, so
@@ -57,7 +59,7 @@ import tracemalloc
 
 sys.path.insert(0, "src")
 
-from repro.core.cpg import CALL, CPG, CPGBuilder, CPGStatistics
+from repro.core.cpg import CALL, CPG, CPGBuilder
 from repro.core.pathfinder import GadgetChainFinder
 from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.graphdb.query import run_query
@@ -85,7 +87,6 @@ PROBE_QUERY = (
 
 FORMATS = {
     "v1_json": ("g.cpg.json.gz", "json"),
-    "v2_binary": ("g.cpg", "binary"),
     "v3_mmap": ("g3.cpg", "v3"),
 }
 
@@ -149,7 +150,7 @@ def chain_fingerprint(cpg):
 
 
 def reload_as_cpg(graph):
-    return CPG(graph, ClassHierarchy([]), CPGStatistics(), {})
+    return CPG.from_graph(graph)
 
 
 def timed(action, repetitions=REPETITIONS):
@@ -226,23 +227,20 @@ def _reader_worker(path, mmap_mode, barrier, out):
     barrier.wait(timeout=300)  # hold the graph until everyone measured
 
 
-def measure_concurrent_readers(v3_path, v2_path, failures):
-    """Total memory of N processes reading one corpus snapshot: v3
-    readers mmap-share a single physical copy; v2 readers each decode
-    their own."""
+def measure_concurrent_readers(v3_path, failures):
+    """Total memory of N processes reading one corpus snapshot: mmap
+    readers share a single physical copy; decode readers each
+    materialise their own."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("spawn")
     result = {"readers": READERS}
-    for label, path, mmap_mode in (
-        ("v3_mmap", v3_path, True),
-        ("v2_binary", v2_path, False),
-    ):
+    for label, mmap_mode in (("v3_mmap", True), ("v3_decode", False)):
         barrier = ctx.Barrier(READERS)
         out = ctx.Queue()
         procs = [
             ctx.Process(
-                target=_reader_worker, args=(path, mmap_mode, barrier, out)
+                target=_reader_worker, args=(v3_path, mmap_mode, barrier, out)
             )
             for _ in range(READERS)
         ]
@@ -264,10 +262,10 @@ def measure_concurrent_readers(v3_path, v2_path, failures):
         shown = f"{total:>12}" if total is not None else "         n/a"
         print(f"  {READERS} readers {label:<10} total {shown} bytes "
               f"({samples[0][1] or 'unavailable'})")
-    v3 = result.get("v3_mmap", {}).get("total_bytes")
-    v2 = result.get("v2_binary", {}).get("total_bytes")
-    if v3 is not None and v2:
-        result["ratio_v3_vs_v2"] = v3 / v2
+    mapped = result.get("v3_mmap", {}).get("total_bytes")
+    decoded = result.get("v3_decode", {}).get("total_bytes")
+    if mapped is not None and decoded:
+        result["ratio_mmap_vs_decode"] = mapped / decoded
     return result
 
 
@@ -338,15 +336,13 @@ def measure_workload(name, cpg, tmp_dir, report, failures):
             view.close()
 
     v1 = entry["formats"]["v1_json"]
-    v2 = entry["formats"]["v2_binary"]
     v3 = entry["formats"]["v3_mmap"]
-    entry["load_speedup_v2_vs_v1"] = (
-        v1["load_s"] / v2["load_s"] if v2["load_s"] else float("inf")
+    entry["load_speedup_v3_vs_v1"] = (
+        v1["load_s"] / v3["load_s"] if v3["load_s"] else float("inf")
     )
-    entry["size_ratio_v2_vs_v1"] = v2["file_bytes"] / v1["file_bytes"]
     entry["size_ratio_v3_vs_v1"] = v3["file_bytes"] / v1["file_bytes"]
-    entry["open_speedup_v3_vs_v2"] = (
-        v2["load_s"] / v3["open_s"] if v3["open_s"] else float("inf")
+    entry["open_speedup_v3_vs_decode"] = (
+        v3["load_s"] / v3["open_s"] if v3["open_s"] else float("inf")
     )
     report["workloads"][name] = entry
     return entry, paths
@@ -390,10 +386,10 @@ def main(argv=None):
         print(f"measuring {READERS} concurrent readers of the corpus "
               "snapshot ...")
         report["concurrent_readers"] = measure_concurrent_readers(
-            corpus_paths["v3_mmap"], corpus_paths["v2_binary"], failures
+            corpus_paths["v3_mmap"], failures
         )
 
-    speedup = corpus_entry["load_speedup_v2_vs_v1"]
+    speedup = corpus_entry["load_speedup_v3_vs_v1"]
     report["speedup"] = speedup
     if not args.smoke:
         # per-workload load gates: the corpus and bulk profiles stress
@@ -401,33 +397,25 @@ def main(argv=None):
         load_floors = {"corpus": 1.5, "library_bulk": 1.5}
         for name, entry in report["workloads"].items():
             floor = load_floors[name]
-            if entry["load_speedup_v2_vs_v1"] < floor:
+            if entry["load_speedup_v3_vs_v1"] < floor:
                 failures.append(
-                    f"{name}: expected >={floor}x v2 load speedup, "
-                    f"got {entry['load_speedup_v2_vs_v1']:.2f}x"
+                    f"{name}: expected a full v3 decode >={floor}x faster "
+                    f"than a v1 load, got {entry['load_speedup_v3_vs_v1']:.2f}x"
                 )
-            if entry["size_ratio_v2_vs_v1"] >= 1.0:
-                failures.append(
-                    f"{name}: v2 file is not smaller than v1 "
-                    f"(ratio {entry['size_ratio_v2_vs_v1']:.2f})"
-                )
-            # v3 is deliberately uncompressed (it is the mmap'd in-memory
-            # layout), so it carries no size gate — its gates are open
-            # latency and shared residency
-        if corpus_entry["open_speedup_v3_vs_v2"] < 10.0:
+        if corpus_entry["open_speedup_v3_vs_decode"] < 10.0:
             failures.append(
-                f"corpus: expected v3 open >=10x faster than a v2 full "
-                f"decode, got {corpus_entry['open_speedup_v3_vs_v2']:.1f}x"
+                f"corpus: expected v3 open >=10x faster than a full v3 "
+                f"decode, got {corpus_entry['open_speedup_v3_vs_decode']:.1f}x"
             )
         readers = report["concurrent_readers"]
-        ratio = readers.get("ratio_v3_vs_v2")
+        ratio = readers.get("ratio_mmap_vs_decode")
         if ratio is None:
             if readers.get("v3_mmap", {}).get("metric") is not None:
                 failures.append("readers: memory totals unavailable")
         elif ratio > 0.5:
             failures.append(
-                f"readers: {READERS} v3 readers cost {ratio:.2f}x the "
-                f"memory of {READERS} v2 decodes (expected <=0.5x)"
+                f"readers: {READERS} zero-copy readers cost {ratio:.2f}x the "
+                f"memory of {READERS} full decodes (expected <=0.5x)"
             )
 
     with open(args.output, "w") as fh:
@@ -439,10 +427,10 @@ def main(argv=None):
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     open_ms = corpus_entry["formats"]["v3_mmap"]["open_s"] * 1000
-    print(f"v2 binary: {speedup:.1f}x faster load than v1 on the merged "
-          f"corpus; v3 opens in {open_ms:.2f}ms "
-          f"({corpus_entry['open_speedup_v3_vs_v2']:.0f}x faster than a v2 "
-          "decode) — all reloads bit-identical")
+    print(f"v3: full decode {speedup:.1f}x faster than a v1 load on the "
+          f"merged corpus; opens in {open_ms:.2f}ms "
+          f"({corpus_entry['open_speedup_v3_vs_decode']:.0f}x faster than a "
+          "full decode) — all reloads bit-identical")
     return 0
 
 

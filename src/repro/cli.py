@@ -3,7 +3,7 @@
 Subcommands::
 
     tabby analyze PATH [PATH...]     build a CPG from jars, save it
-                                     (--format v3|binary|json, default v3)
+                                     (--format v3|json, default v3)
     tabby chains PATH [PATH...]      find (and optionally verify) chains
     tabby chains --cpg FILE          ... over a persisted CPG (warm start)
     tabby diff OLD NEW               compare chains across two classpath
@@ -116,15 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="build and persist a CPG")
     analyze.add_argument("classpath", nargs="+", help="jar files or directories")
     analyze.add_argument("-o", "--output", default=None,
-                         help="output path (default: tabby.cpg for v3/binary, "
+                         help="output path (default: tabby.cpg for v3, "
                          "tabby.cpg.json.gz for json)")
-    analyze.add_argument("--format", choices=("v3", "binary", "json"), default="v3",
+    analyze.add_argument("--format", choices=("v3", "json"), default="v3",
                          help="snapshot format: 'v3' is the mmap-able "
                          "zero-copy snapshot (default; opens in O(header) and "
-                         "shares one physical copy across processes); "
-                         "'binary' is the columnar v2 snapshot; 'json' emits "
-                         "the byte-stable v1 document for diffing. Readers "
-                         "auto-detect every format.")
+                         "shares one physical copy across processes); 'json' "
+                         "emits the byte-stable v1 document for diffing. "
+                         "Readers auto-detect either format.")
     analyze.add_argument("--sources", choices=("native", "extended"), default="extended")
     analyze.add_argument("--validate", action="store_true",
                          help="run Soot-style body/linkage validation first")
@@ -209,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--profile", action="store_true",
                        help="run the query and print the plan with "
                        "per-operator row/time counters to stderr")
-    query.add_argument("--no-planner", action="store_true",
-                       help="use the legacy naive interpreter "
-                       "(incompatible with --explain/--profile)")
 
     bench = sub.add_parser("bench", help="regenerate an evaluation table")
     bench.add_argument(
@@ -606,17 +602,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.graphdb.query import jsonable_row, run_query
     from repro.graphdb.storage import open_graph
 
-    if args.no_planner and (args.explain or args.profile):
-        print("query: --no-planner is incompatible with --explain/--profile",
-              file=sys.stderr)
-        return 2
-    graph = open_graph(args.cpg)
     result = run_query(
-        graph,
-        args.cypher,
-        optimize=not args.no_planner,
-        explain=args.explain,
-        profile=args.profile,
+        open_graph(args.cpg), args.cypher, explain=args.explain, profile=args.profile
     )
     if args.explain:
         print(result.plan.render())

@@ -11,7 +11,7 @@ Typical usage::
     for chain in chains:
         print(chain.render())
 
-    tabby.save_cpg("project.cpg")           # binary snapshot (§IV-F)
+    tabby.save_cpg("project.cpg")           # v3 snapshot (§IV-F)
     rows = tabby.query("MATCH (m:Method {IS_SINK: true}) RETURN m.NAME")
 
     warm = Tabby.load_cpg("project.cpg")    # re-queryable across sessions
@@ -23,13 +23,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.chains import GadgetChain
-from repro.core.cpg import (
-    CLASS_LABEL,
-    CPG,
-    CPGBuilder,
-    CPGStatistics,
-    METHOD_LABEL,
-)
+from repro.core.cpg import CPG, CPGBuilder
 from repro.core.cpg_check import CPGCheckIssue, verify_cpg
 from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
 from repro.core.sinks import SinkCatalog, SinkMethod
@@ -283,10 +277,9 @@ class Tabby:
         """Persist the CPG to ``path``.
 
         ``format`` is ``"v3"`` (the mmap-able zero-copy snapshot),
-        ``"binary"``/``"v2"`` (the v2 columnar snapshot), ``"json"``
-        (the byte-stable v1 document) or ``None``/``"auto"``: v3 unless
-        the path ends in ``.json``/``.json.gz``.  :meth:`load_cpg` and
-        ``load_graph`` auto-detect every format.
+        ``"json"`` (the byte-stable v1 document) or ``None``/``"auto"``:
+        v3 unless the path ends in ``.json``/``.json.gz``.
+        :meth:`load_cpg` and ``load_graph`` auto-detect either format.
         """
         save_graph(self.build_cpg().graph, path, format=format)
 
@@ -294,12 +287,12 @@ class Tabby:
     def load_cpg(cls, path: str, mmap: bool = True, **kwargs) -> "Tabby":
         """Rebuild a queryable/searchable Tabby from a persisted CPG.
 
-        Accepts every snapshot format (auto-detected).  With ``mmap``
+        Accepts both snapshot formats (auto-detected).  With ``mmap``
         (the default) a v3 snapshot is opened as a zero-copy read-only
         view — O(header) open, pages shared with any other process on
-        the same file — while v1/v2 files decode as before;
+        the same file — while a v1 file decodes;
         ``mmap=False`` forces a full decode into a mutable
-        ``PropertyGraph`` for every format.  The returned instance
+        ``PropertyGraph`` for either format.  The returned instance
         supports :meth:`query` and :meth:`find_gadget_chains`
         immediately — the §IV-F warm-start workflow — but carries no
         class hierarchy, so features that need the original classes
@@ -308,34 +301,22 @@ class Tabby:
         discards the loaded CPG and rebuilds).
         """
         tabby = cls(**kwargs)
-        graph = open_graph(path) if mmap else load_graph(path)
-        statistics = CPGStatistics(
-            class_node_count=graph.indexes.label_count(CLASS_LABEL),
-            method_node_count=graph.indexes.label_count(METHOD_LABEL),
-            relationship_edge_count=graph.relationship_count,
-        )
-        tabby._cpg = CPG(graph, ClassHierarchy([]), statistics, {})
+        tabby._cpg = CPG.from_graph(open_graph(path) if mmap else load_graph(path))
         return tabby
 
     def query(
         self,
         cypher: str,
         *,
-        optimize: bool = True,
         explain: bool = False,
         profile: bool = False,
     ) -> QueryResult:
         """Run a Cypher-subset query against the CPG.
 
-        ``optimize=False`` selects the legacy naive interpreter;
         ``explain=True`` returns only the plan (``result.plan``) without
         executing, and ``profile=True`` executes while collecting
         per-operator row/time counters on the plan.
         """
         return run_query(
-            self.build_cpg().graph,
-            cypher,
-            optimize=optimize,
-            explain=explain,
-            profile=profile,
+            self.build_cpg().graph, cypher, explain=explain, profile=profile
         )

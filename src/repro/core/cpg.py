@@ -134,6 +134,18 @@ class CPG:
         self.statistics = statistics
         self.summaries = summaries
 
+    @classmethod
+    def from_graph(cls, graph: PropertyGraph) -> "CPG":
+        """A searchable, queryable CPG over a loaded graph (a snapshot
+        file or a pinned MVCC version): no class hierarchy and no
+        summaries, with node and edge counts read off the graph."""
+        statistics = CPGStatistics(
+            class_node_count=graph.indexes.label_count(CLASS_LABEL),
+            method_node_count=graph.indexes.label_count(METHOD_LABEL),
+            relationship_edge_count=graph.relationship_count,
+        )
+        return cls(graph, ClassHierarchy([]), statistics, {})
+
     # -- lookups ----------------------------------------------------------
 
     def class_node(self, name: str) -> Optional[Node]:

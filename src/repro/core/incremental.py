@@ -78,7 +78,7 @@ from repro.core.summary_cache import (
     encode_summary,
 )
 from repro.errors import GraphError, IncrementalError
-from repro.graphdb.graph import Node, PropertyGraph, Relationship
+from repro.graphdb.graph import Node, Relationship
 from repro.graphdb.index import IndexManager
 from repro.graphdb.mvcc import VersionedGraph, WriteTransaction
 from repro.graphdb.wal import WriteAheadLog
@@ -350,7 +350,7 @@ class IncrementalAnalyzer:
     def from_snapshot(
         cls, path: str, classes: Iterable[JavaClass], **kwargs: Any
     ) -> "IncrementalAnalyzer":
-        """Warm-start a session from a persisted CPG (any snapshot
+        """Warm-start a session from a persisted CPG (either snapshot
         format) plus the classes it was built from.
 
         The graph is loaded, summaries are recomputed (warming from
@@ -364,8 +364,6 @@ class IncrementalAnalyzer:
         session = cls(classes=[], _defer=True, **kwargs)
         class_list = list(classes)
         graph = load_graph(path)
-        if not isinstance(graph, PropertyGraph):  # pragma: no cover - defensive
-            graph = graph.materialize()
         hierarchy = ClassHierarchy(class_list)
         builder = CPGBuilder(
             hierarchy,

@@ -82,7 +82,7 @@ def _intern_tree(value):
     so the same class names, sub-signatures and action atoms come back
     thousands of times; interning them on read-back makes the warm
     summary phase share one object per distinct string — the same
-    dedup the v2 graph snapshot's string table performs.
+    dedup the v3 graph snapshot's string table performs.
     """
     kind = type(value)
     if kind is str:

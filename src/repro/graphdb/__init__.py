@@ -7,10 +7,13 @@
   executor (EXPLAIN/PROFILE)
 * :mod:`repro.graphdb.traversal` — expander/evaluator traversal
   framework (the *tabby-path-finder* substrate)
-* :mod:`repro.graphdb.storage` — persistence front end (v1 JSON and
-  v2 binary, auto-detected on read)
-* :mod:`repro.graphdb.snapshot` — the v2 binary columnar snapshot
-  codec (string table, packed columns, checksummed sections)
+* :mod:`repro.graphdb.storage` — persistence front end (v3 binary and
+  v1 JSON, auto-detected on read)
+* :mod:`repro.graphdb.snapshot_v3` — the v3 zero-copy snapshot codec
+  (mmap-able columns, CSR adjacency, lazy property columns)
+* :mod:`repro.graphdb.arraygraph` — the read-only graph view over a
+  v3 snapshot
+* :mod:`repro.graphdb.snapshot` — structural graph fingerprints
 * :mod:`repro.graphdb.mvcc` — copy-on-write MVCC version chain
   (wait-free snapshot reads, single serialized writer)
 * :mod:`repro.graphdb.wal` — CRC-framed write-ahead log with crash

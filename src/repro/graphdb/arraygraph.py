@@ -38,8 +38,8 @@ Design constraints, in order:
 
 Mutation raises :class:`~repro.errors.GraphError`; writers call
 :meth:`ArrayGraph.materialize` to get a plain ``PropertyGraph`` that is
-``graph_fingerprint``-identical to the validated v2 decode of the same
-graph.
+``graph_fingerprint``-identical to the graph the snapshot was written
+from.
 """
 
 from __future__ import annotations
@@ -545,9 +545,8 @@ class ArrayGraph:
 
     def materialize(self) -> PropertyGraph:
         """Decode every column and build a mutable ``PropertyGraph``
-        through the trusted columnar bulk loader — the same code path
-        as the validated v2 decode, hence ``graph_fingerprint``-
-        identical to it."""
+        through the trusted columnar bulk loader, ``graph_fingerprint``-
+        identical to the graph the snapshot was written from."""
         node_props = self._node_props.decode_all()
         rel_props = self._rel_props.decode_all()
         labelsets = [self._labelsets[i] for i in range(len(self._labelsets))]

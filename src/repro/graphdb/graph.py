@@ -608,9 +608,9 @@ def _bulk_load(
 ) -> PropertyGraph:
     """Trusted bulk loader: populate an **empty** graph from columns.
 
-    This is the warm-start fast path shared by both snapshot formats
-    (:mod:`repro.graphdb.storage` / :mod:`repro.graphdb.snapshot`).  It
-    is *trusted*: property maps are installed as-is, without re-running
+    This is the warm-start fast path of the v1 JSON loader
+    (:func:`repro.graphdb.storage.graph_from_dict`).  It is *trusted*:
+    property maps are installed as-is, without re-running
     :func:`_check_property_value` — sound because snapshot writers only
     emit values that passed validation when the graph was first built.
     Compared with replaying ``create_node``/``create_relationship`` per
@@ -731,7 +731,7 @@ def _bulk_load_columns(
     rel_ends: "array | List[int]",
     rel_props: List[Dict[str, Any]],
 ) -> PropertyGraph:
-    """Trusted bulk loader over *columns* (the v2 binary decode path).
+    """Trusted bulk loader over *columns* (the v3 materialize path).
 
     Produces a graph :func:`~repro.graphdb.snapshot.graph_fingerprint`-
     identical to :func:`_bulk_load` over the zipped rows, but exploits

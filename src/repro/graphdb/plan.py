@@ -1,8 +1,9 @@
 """Cost-based query planner and optimized executor for the Cypher subset.
 
-The naive interpreter in :mod:`repro.graphdb.query` always seeds a MATCH
-from the *first* node pattern, evaluates WHERE only on complete
-bindings, and materialises + sorts every row before applying LIMIT.  On
+The naive interpreter (kept as the test oracle
+``tests/oracles/query.py``) always seeds a MATCH from the *first* node
+pattern, evaluates WHERE only on complete bindings, and materialises +
+sorts every row before applying LIMIT.  On
 a CPG that is fine for ``(m:Method {IS_SINK: true})`` but disastrous for
 ``(a:Method)-[:CALL]->(b:Method {IS_SINK: true})``: the engine scans
 every method node and expands every CALL edge, when walking *backwards*

@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.errors import QueryExecutionError, QuerySyntaxError
 from repro.graphdb.graph import Node, PropertyGraph, Relationship
-from repro.graphdb.traversal import Path
 
 __all__ = ["run_query", "QueryResult", "parse_query", "jsonable_row"]
 
@@ -446,28 +445,6 @@ def _node_matches(node: Node, pat: NodePattern) -> bool:
     return all(node.get(k) == v for k, v in pat.props.items())
 
 
-def _candidate_nodes(graph: PropertyGraph, pat: NodePattern) -> Iterable[Node]:
-    """Seed nodes for a pattern: the smallest indexed property hit set
-    across *all* of the pattern's labels, falling back to the most
-    selective (lowest-count) label scan; every candidate is then
-    verified against the full label set and property map."""
-    if pat.labels:
-        best_hit: Optional[Set[int]] = None
-        for label in pat.labels:
-            for key, value in pat.props.items():
-                hit = graph.indexes.lookup(label, key, value)
-                if hit is not None and (best_hit is None or len(hit) < len(best_hit)):
-                    best_hit = hit
-        if best_hit is not None:
-            candidates: Iterable[Node] = (graph.node(i) for i in best_hit)
-        else:
-            candidates = graph.nodes(
-                min(pat.labels, key=graph.indexes.label_count)
-            )
-        return [n for n in candidates if _node_matches(n, pat)]
-    return [n for n in graph.nodes() if _node_matches(n, pat)]
-
-
 def _typed_rels(getter, node: Node, types: List[str]) -> List[Relationship]:
     """Relationships of the wanted types via the per-type adjacency
     buckets; merging by id reproduces the order a filtered scan of the
@@ -536,64 +513,6 @@ def _bind_rel(b: Binding, rel_pat: RelPattern, rel: Relationship) -> Optional[Bi
     b = dict(b)
     b[rel_pat.var] = rel
     return b
-
-
-def _match_path(
-    graph: PropertyGraph,
-    pattern: PatternPath,
-    binding: Binding,
-) -> Iterator[Binding]:
-    """Backtracking matcher for one linear pattern, extending ``binding``."""
-
-    def rec(b: Binding, node: Node, index: int) -> Iterator[Binding]:
-        if index == len(pattern.rels):
-            yield b
-            return
-        rel_pat = pattern.rels[index]
-        next_pat = pattern.nodes[index + 1]
-        if not rel_pat.is_var_length:
-            for rel, nxt in _step(graph, node, rel_pat):
-                b2 = _bind_rel(b, rel_pat, rel)
-                if b2 is None:
-                    continue
-                b3 = _bind_node(b2, next_pat, nxt)
-                if b3 is None:
-                    continue
-                yield from rec(b3, nxt, index + 1)
-            return
-        # variable-length: DFS over hop counts within [min, max], using
-        # the persistent cons-list Path so each push is O(1) instead of
-        # copying an O(depth) rel list and visited set
-        max_hops = rel_pat.max_hops if rel_pat.max_hops is not None else graph.node_count
-        stack: List[Path] = [Path.single(node)]
-        while stack:
-            path = stack.pop()
-            if path.length >= rel_pat.min_hops:
-                b2 = b
-                if rel_pat.var is not None:
-                    b2 = dict(b2)
-                    b2[rel_pat.var] = list(path.relationships)
-                b3 = _bind_node(b2, next_pat, path.end_node)
-                if b3 is not None:
-                    yield from rec(b3, path.end_node, index + 1)
-            if path.length >= max_hops:
-                continue
-            for rel, nxt in _step(graph, path.end_node, rel_pat):
-                if path.contains_node(nxt):
-                    continue
-                stack.append(path.extend(rel, nxt))
-
-    first = pattern.nodes[0]
-    bound = binding.get(first.var) if first.var else None
-    if isinstance(bound, Node):
-        candidates: Iterable[Node] = [bound]
-    else:
-        candidates = _candidate_nodes(graph, first)
-    for node in candidates:
-        b0 = _bind_node(binding, first, node)
-        if b0 is None:
-            continue
-        yield from rec(b0, node, 0)
 
 
 def _eval_expr(expr: Expr, binding: Binding) -> Any:
@@ -734,7 +653,7 @@ def _project_row(query: Query, b: Binding) -> Dict[str, Any]:
 
 def _aggregate_rows(query: Query, bindings: Iterable[Binding]) -> List[Dict[str, Any]]:
     """Group bindings by the non-aggregate RETURN items and evaluate the
-    count() aggregates per group (shared by both engines)."""
+    count() aggregates per group."""
     group_items = [item for item in query.items if not item.is_aggregate]
     groups: Dict[Any, Dict[str, Any]] = {}
     members: Dict[Any, List[Binding]] = {}
@@ -800,67 +719,25 @@ def _make_sort_key(query: Query) -> Callable[[Dict[str, Any]], Tuple]:
     return sort_key
 
 
-def _run_naive(graph: PropertyGraph, query: Query) -> QueryResult:
-    """The legacy interpreter: seed every pattern from its first node,
-    evaluate WHERE on complete bindings, materialise + sort + slice."""
-    bindings: List[Binding] = [{}]
-    for pattern in query.patterns:
-        bindings = [
-            matched
-            for binding in bindings
-            for matched in _match_path(graph, pattern, binding)
-        ]
-    if query.where is not None:
-        bindings = [b for b in bindings if _eval_predicate(query.where, b)]
-
-    columns = [item.alias for item in query.items]
-    has_aggregate = any(item.is_aggregate for item in query.items)
-
-    rows: List[Dict[str, Any]]
-    if has_aggregate:
-        rows = _aggregate_rows(query, bindings)
-    else:
-        rows = [_project_row(query, b) for b in bindings]
-
-    if query.distinct:
-        rows = list(_distinct_rows(columns, rows))
-
-    if query.order_by:
-        rows.sort(key=_make_sort_key(query))
-
-    if query.skip:
-        rows = rows[query.skip :]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return QueryResult(columns, rows)
-
-
 def run_query(
     graph: PropertyGraph,
     source: str,
     *,
-    optimize: bool = True,
     explain: bool = False,
     profile: bool = False,
 ) -> QueryResult:
     """Parse and execute a query against ``graph``.
 
-    By default the cost-based planner (:mod:`repro.graphdb.plan`) picks
-    the cheapest anchor for each pattern, pushes WHERE conjuncts to the
+    The cost-based planner (:mod:`repro.graphdb.plan`) picks the
+    cheapest anchor for each pattern, pushes WHERE conjuncts to the
     earliest position where their variables are bound, and short-circuits
-    ORDER BY/LIMIT; the row multiset is identical to the legacy engine
-    by construction.  ``optimize=False`` runs the legacy interpreter.
-    ``explain=True`` returns the plan without executing (empty rows);
-    ``profile=True`` executes and fills per-operator row/time counters.
-    Either way the plan is attached as ``result.plan``.
+    ORDER BY/LIMIT; the row multiset is identical to the naive
+    interpreter's by construction (that interpreter is kept as a test
+    oracle).  ``explain=True`` returns the plan without executing (empty
+    rows); ``profile=True`` executes and fills per-operator row/time
+    counters.  Either way the plan is attached as ``result.plan``.
     """
     query = parse_query(source)
-    if not optimize:
-        if explain or profile:
-            raise QueryExecutionError(
-                "explain/profile require the planner (optimize=True)"
-            )
-        return _run_naive(graph, query)
     from repro.graphdb.plan import execute_planned
 
     return execute_planned(graph, query, source, explain=explain, profile=profile)

@@ -1,12 +1,11 @@
 """Page-structured zero-copy graph snapshots (format v3).
 
-Format v2 (:mod:`repro.graphdb.snapshot`) made *decoding* fast; every
-open still pays a full decode of every section into a dict-of-objects
-graph, and every worker process holds a private copy of the result.
-Format v3 makes *opening* fast and the hot data shareable: the file is
-laid out so that a reader can ``mmap`` it and traverse in place —
+The binary snapshot format of :mod:`repro.graphdb.storage`, next to the
+v1 JSON text format.  Decoding a dict-of-objects graph on every open
+costs O(graph) per process and gives every process a private copy, so
+the file is laid out for a reader to ``mmap`` it and traverse in place —
 
-* a fixed-size header (the shared ``TABBYCPG`` magic, version 3) plus a
+* a fixed-size header (the ``TABBYCPG`` magic, version 3) plus a
   section *table* of ``(tag, offset, length)`` entries, protected by a
   CRC32 so a corrupt or mis-versioned file fails structured validation
   instead of mis-slicing;
@@ -18,9 +17,15 @@ laid out so that a reader can ``mmap`` it and traverse in place —
   *per relationship type*, so ``in_relationships(node, "CALL")`` — the
   chain search's hot operation — is two indptr reads and a slice;
 * strings live in one UTF-8 blob indexed by an offset array and decode
-  lazily per id; property maps are stored shape-grouped and columnar
-  (the v2 model) but with a random-access *column directory* of
-  ``(key, kind, offsets)`` entries, so a column decodes on first touch
+  lazily per id;
+* property maps are stored *columnar by shape*.  A shape is an
+  entity's ``(property key, value kind)`` signature; CPG graphs have
+  only a handful, so each shape contributes one typed column per key:
+  bools, ints (zigzag), string ids, floats, int and string lists
+  (lengths plus one flattened column), string-to-string dicts, and a
+  tagged varint fallback for anything else (nested maps, mixed lists,
+  ints wider than 64 bits).  A random-access *column directory* of
+  ``(key, kind, offsets)`` entries lets a column decode on first touch
   of that property and never before;
 * node/relationship property membership is two u32 arrays (shape id,
   row within shape), making ``rel.get("POLLUTED_POSITION")`` an array
@@ -33,13 +38,15 @@ of holding N decoded heaps.  Integrity model: the header/table CRC and
 exact arithmetic length checks on every fixed-layout section run at
 open; variable-payload sections (string blob, property data) are
 bounds-checked on first touch and surface :class:`StorageError`, never
-``struct.error``/``IndexError``.
+``struct.error``/``IndexError``.  A ``TABBYCPG`` header of any other
+version fails before anything else is read, with an error that says
+how to rebuild or convert the file (:func:`unsupported_version`).
 
 ``decode_snapshot_v3`` (used by ``load_graph``) materialises through
 :meth:`~repro.graphdb.arraygraph.ArrayGraph.materialize`, which funnels
-into the same trusted columnar bulk loader as v2 — a materialised v3
-load is ``graph_fingerprint``-identical to the v2/v1 loads of the same
-graph (asserted in tests and the storage benchmark).
+into the trusted columnar bulk loader — a materialised v3 load is
+``graph_fingerprint``-identical to the v1 load of the same graph
+(asserted in tests and the storage benchmark).
 """
 
 from __future__ import annotations
@@ -55,36 +62,21 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.errors import StorageError
 from repro.graphdb.arraygraph import Adjacency, ArrayGraph
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.snapshot import (
-    SNAPSHOT_MAGIC,
-    _BOOLS,
-    _HEADER,
-    _INTERN_MAX,
-    _K_BOOL,
-    _K_FLOAT,
-    _K_INT,
-    _K_INTLIST,
-    _K_NESTED,
-    _K_NONE,
-    _K_STR,
-    _K_STRDICT,
-    _K_STRLIST,
-    _kind_of,
-    _make_readers,
-    _rows_to_maps,
-    _sid,
-    _write_value,
-)
 
 __all__ = [
+    "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION_V3",
     "encode_snapshot_v3",
     "decode_snapshot_v3",
     "open_snapshot",
     "view_snapshot",
+    "unsupported_version",
 ]
 
+SNAPSHOT_MAGIC = b"TABBYCPG"
 SNAPSHOT_VERSION_V3 = 3
+
+_HEADER = struct.Struct("<8sHHI")  # magic, version, flags, section count
 
 _LITTLE = sys.byteorder == "little"
 
@@ -149,6 +141,221 @@ _U32_MAX = 1 << 32
 
 
 # ---------------------------------------------------------------------------
+# value codec: kinds, tagged fallback values, row builders
+# ---------------------------------------------------------------------------
+
+_DOUBLE = struct.Struct("<d")
+
+# value tags of the fallback (nested) property encoding
+_V_NONE, _V_TRUE, _V_FALSE, _V_INT, _V_FLOAT, _V_STR, _V_LIST, _V_DICT = range(8)
+
+# column kinds of the shape-grouped property encoding
+(
+    _K_NONE,
+    _K_BOOL,
+    _K_INT,
+    _K_FLOAT,
+    _K_STR,
+    _K_INTLIST,
+    _K_STRLIST,
+    _K_STRDICT,
+    _K_NESTED,
+) = range(9)
+
+#: zigzag of ints in this range fits a struct-packed (<= 8 byte) column
+_I63 = 1 << 63
+
+_BOOLS = (False, True)
+
+#: strings longer than this are deduplicated via the table but not
+#: sys.intern'd (interned strings live for the rest of the process)
+_INTERN_MAX = 512
+
+
+def _write_varint(out: bytearray, value: int) -> None:
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _sid(table: Dict[str, int], value: str) -> int:
+    sid = table.get(value)
+    if sid is None:
+        sid = len(table)
+        table[value] = sid
+    return sid
+
+
+def _write_value(out: bytearray, value: Any, strings: Dict[str, int]) -> None:
+    if value is None:
+        out.append(_V_NONE)
+    elif isinstance(value, bool):
+        out.append(_V_TRUE if value else _V_FALSE)
+    elif isinstance(value, int):
+        out.append(_V_INT)
+        _write_varint(out, value * 2 if value >= 0 else -value * 2 - 1)
+    elif isinstance(value, float):
+        out.append(_V_FLOAT)
+        out += _DOUBLE.pack(value)
+    elif isinstance(value, str):
+        out.append(_V_STR)
+        _write_varint(out, _sid(strings, value))
+    elif isinstance(value, (list, tuple)):
+        out.append(_V_LIST)
+        _write_varint(out, len(value))
+        for item in value:
+            _write_value(out, item, strings)
+    elif isinstance(value, dict):
+        out.append(_V_DICT)
+        _write_varint(out, len(value))
+        for key, item in value.items():
+            _write_varint(out, _sid(strings, key))
+            _write_value(out, item, strings)
+    else:
+        raise StorageError(
+            f"unsupported property value type for snapshot: {type(value).__name__}"
+        )
+
+
+def _make_readers(buf: bytes, strings: List[str]):
+    """Varint / fallback-value readers closed over one buffer."""
+
+    unpack_double = _DOUBLE.unpack_from
+
+    def read_varint(pos: int) -> Tuple[int, int]:
+        b = buf[pos]
+        pos += 1
+        if b < 0x80:
+            return b, pos
+        result = b & 0x7F
+        shift = 7
+        while True:
+            b = buf[pos]
+            pos += 1
+            result |= (b & 0x7F) << shift
+            if b < 0x80:
+                return result, pos
+            shift += 7
+
+    def read_value(pos: int) -> Tuple[Any, int]:
+        tag = buf[pos]
+        pos += 1
+        if tag == _V_STR:
+            sid, pos = read_varint(pos)
+            return strings[sid], pos
+        if tag == _V_INT:
+            z, pos = read_varint(pos)
+            return (z >> 1) ^ -(z & 1), pos
+        if tag == _V_NONE:
+            return None, pos
+        if tag == _V_TRUE:
+            return True, pos
+        if tag == _V_FALSE:
+            return False, pos
+        if tag == _V_FLOAT:
+            return unpack_double(buf, pos)[0], pos + 8
+        if tag == _V_LIST:
+            count, pos = read_varint(pos)
+            items = []
+            append = items.append
+            for _ in range(count):
+                item, pos = read_value(pos)
+                append(item)
+            return items, pos
+        if tag == _V_DICT:
+            count, pos = read_varint(pos)
+            nested: Dict[str, Any] = {}
+            for _ in range(count):
+                sid, pos = read_varint(pos)
+                item, pos = read_value(pos)
+                nested[strings[sid]] = item
+            return nested, pos
+        raise StorageError(f"unknown property value tag {tag}")
+
+    return read_varint, read_value
+
+
+#: property-map builders compiled per column count (see _rows_to_maps)
+_ROW_BUILDERS: Dict[int, Any] = {}
+
+#: shapes wider than this fall back to dict(zip(keys, row))
+_ROW_BUILDER_MAX_WIDTH = 32
+
+
+def _rows_to_maps(keys: Tuple[str, ...], cols: List[Sequence[Any]]) -> List[Dict[str, Any]]:
+    """One property dict per row of ``zip(*cols)``.
+
+    A dict *display* with the keys bound to locals builds a small dict
+    2-4x faster than ``dict(zip(keys, row))``, but needs the column
+    count at compile time — so builders are compiled once per width and
+    cached (a CPG has a handful of shapes, so a handful of widths).
+    """
+    width = len(keys)
+    if width > _ROW_BUILDER_MAX_WIDTH:
+        return [dict(zip(keys, row)) for row in zip(*cols)]
+    builder = _ROW_BUILDERS.get(width)
+    if builder is None:
+        key_args = ", ".join(f"k{i}" for i in range(width))
+        values = ", ".join(f"v{i}" for i in range(width))
+        items = ", ".join(f"k{i}: v{i}" for i in range(width))
+        source = (
+            "def _build(k0):\n"
+            "    def rows(cols):\n"
+            "        return [{k0: v0} for v0 in cols[0]]\n"
+            "    return rows\n"
+            if width == 1
+            else f"def _build({key_args}):\n"
+            f"    def rows(cols):\n"
+            f"        return [{{{items}}} for ({values},) in zip(*cols)]\n"
+            f"    return rows\n"
+        )
+        namespace: Dict[str, Any] = {}
+        exec(source, namespace)
+        builder = namespace["_build"]
+        _ROW_BUILDERS[width] = builder
+    return builder(*keys)(cols)
+
+
+def _kind_of(value: Any) -> int:
+    """The column kind a value belongs to (see the module docstring)."""
+    kind = type(value)
+    if kind is str:
+        return _K_STR
+    if kind is bool:
+        return _K_BOOL
+    if kind is int:
+        return _K_INT if -_I63 <= value < _I63 else _K_NESTED
+    if kind is float:
+        return _K_FLOAT
+    if value is None:
+        return _K_NONE
+    if kind is list or kind is tuple:
+        all_int = all_str = True
+        for item in value:
+            t = type(item)
+            if t is int and -_I63 <= item < _I63:
+                all_str = False
+            elif t is str:
+                all_int = False
+            else:
+                return _K_NESTED
+        if all_int:  # including the empty list
+            return _K_INTLIST
+        return _K_STRLIST if all_str else _K_NESTED
+    if kind is dict:
+        for k, v in value.items():
+            if type(k) is not str or type(v) is not str:
+                return _K_NESTED
+        return _K_STRDICT
+    if isinstance(value, (bool, int, float, str, list, tuple, dict)):
+        return _K_NESTED  # exotic subclasses: tagged fallback
+    raise StorageError(
+        f"unsupported property value type for snapshot: {type(value).__name__}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # low-level array helpers
 # ---------------------------------------------------------------------------
 
@@ -203,8 +410,8 @@ def _cast(view: memoryview, offset: int, count: int, code: str):
 
 class _LazyStrings:
     """The deduplicated string table, decoded per id on first touch.
-    Strings at most ``_INTERN_MAX`` bytes are ``sys.intern``'d, matching
-    the v2 loader's sharing policy."""
+    Strings at most ``_INTERN_MAX`` bytes are ``sys.intern``'d; longer
+    ones stay shared through the table but are not interned."""
 
     __slots__ = ("_blob", "_offs", "_cache")
 
@@ -482,7 +689,7 @@ def _encode_columns(
     strings: Dict[str, int],
     data: bytearray,
 ) -> Tuple[List[int], List[int], bytearray]:
-    """Shape-group ``all_props`` (the v2 model) and write one random-
+    """Shape-group ``all_props`` and write one random-
     access typed column per (shape, key) into ``data``; returns the
     shape/row membership columns and the column directory."""
     shape_ids: Dict[Tuple[Tuple[int, int], ...], int] = {}
@@ -723,6 +930,17 @@ def encode_snapshot_v3(graph: PropertyGraph) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def unsupported_version(version: int) -> StorageError:
+    """The error for a ``TABBYCPG`` header whose version is not 3 — a
+    retired v2 file or one from a newer build — naming the remedy."""
+    return StorageError(
+        f"unsupported snapshot format version {version}: this build reads "
+        f"v3 snapshots and v1 JSON. Re-run `tabby analyze` to rebuild the "
+        f"CPG, or convert the file with a release that reads it: "
+        f"save_graph(load_graph(path), new_path, format=\"v3\")"
+    )
+
+
 def _parse(view: memoryview, path: Optional[str], closer) -> ArrayGraph:
     size = len(view)
     if size < _HEADER.size:
@@ -731,10 +949,7 @@ def _parse(view: memoryview, path: Optional[str], closer) -> ArrayGraph:
     if magic != SNAPSHOT_MAGIC:
         raise StorageError("not a Tabby binary snapshot (bad magic)")
     if version != SNAPSHOT_VERSION_V3:
-        raise StorageError(
-            f"not a v3 snapshot (format version {version}); "
-            f"use load_graph for v1/v2 files"
-        )
+        raise unsupported_version(version)
     table_size = _HEADER.size + _SECTION_V3.size * section_count
     if table_size + _CRC.size > size:
         raise StorageError("snapshot is truncated: incomplete section table")
@@ -948,8 +1163,8 @@ def open_snapshot(path: str) -> ArrayGraph:
 
 def decode_snapshot_v3(data: bytes) -> PropertyGraph:
     """Materialise v3 snapshot bytes into a mutable ``PropertyGraph``
-    (the ``load_graph`` path) — fingerprint-identical to the v2 decode
-    of the same graph."""
+    (the ``load_graph`` path) — fingerprint-identical to the graph that
+    was saved."""
     view = view_snapshot(data)
     view._strings.decode_all()  # bulk path; per-id decode would also work
     return view.materialize()

@@ -1,27 +1,27 @@
 """Persistence for property graphs.
 
-Three on-disk formats, one read path:
+Two on-disk formats, one per purpose, one read path:
 
-* **v1 (json)** — a gzip/plain JSON document with ``nodes``,
-  ``relationships`` and ``indexes`` sections.  Byte-stable: the JSON
-  emitted today diffs cleanly against snapshots written by any earlier
-  build, which is why ``--format json`` remains available.
-* **v2 (binary)** — the columnar snapshot of
-  :mod:`repro.graphdb.snapshot`: string-table deduplication,
-  struct-packed id columns, checksummed sections, and a trusted bulk
-  load that skips per-property re-validation.
 * **v3** — the page-structured zero-copy snapshot of
   :mod:`repro.graphdb.snapshot_v3`: fixed-width little-endian columns,
   precomputed CSR adjacency and a column directory, laid out so a
   reader can ``mmap`` the file and traverse in place.  The default for
   new saves; :func:`open_graph` opens it without decoding.
+* **v1 (json)** — a gzip/plain JSON document with ``nodes``,
+  ``relationships`` and ``indexes`` sections: the readable interchange.
+  Byte-stable: the JSON emitted today diffs cleanly against snapshots
+  written by any earlier build, which is why ``--format json`` remains
+  available.
 
-v1 and v2 stay readable forever: :func:`load_graph` auto-detects the
-format from content (gzip wrapping included), so every snapshot ever
-written keeps loading; callers never pass a format on read.  This is
-the analogue of a Neo4j database directory: Tabby builds the CPG once,
-persists it, and researchers re-query it across sessions (paper §IV-F
-— the re-queryability advantage over GadgetInspector/Serianalyzer).
+:func:`load_graph` and :func:`open_graph` detect the format from
+content (gzip wrapping included), so callers never pass a format on
+read.  A ``TABBYCPG`` header of any version but 3 — the retired v2
+columnar snapshot, or a file from a newer build — is rejected from its
+header alone with a :class:`StorageError` that names the remedy.  This
+is the analogue of a Neo4j database directory: Tabby builds the CPG
+once, persists it, and researchers re-query it across sessions (paper
+§IV-F — the re-queryability advantage over
+GadgetInspector/Serianalyzer).
 """
 
 from __future__ import annotations
@@ -37,16 +37,13 @@ from typing import Any, Dict, Optional, Union
 from repro.errors import StorageError
 from repro.graphdb.arraygraph import ArrayGraph
 from repro.graphdb.graph import PropertyGraph, _bulk_load
-from repro.graphdb.snapshot import (
-    SNAPSHOT_MAGIC,
-    decode_snapshot,
-    encode_snapshot,
-)
 from repro.graphdb.snapshot_v3 import (
+    SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION_V3,
     decode_snapshot_v3,
     encode_snapshot_v3,
     open_snapshot,
+    unsupported_version,
     view_snapshot,
 )
 
@@ -132,77 +129,45 @@ def graph_from_dict(data: Dict[str, Any]) -> PropertyGraph:
     return _bulk_load(PropertyGraph(), indexes, node_rows, rel_rows)
 
 
-def _graph_from_dict_checked(data: Dict[str, Any]) -> PropertyGraph:
-    """The legacy v1 loader: one validated ``create_*`` call per entity.
-
-    Kept as the differential baseline for :func:`graph_from_dict` — the
-    bulk path must produce a structurally identical graph (asserted in
-    the test suite); this function is not used on any hot path.
-    """
-    version = data.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise StorageError(f"unsupported graph format version: {version!r}")
-    graph = PropertyGraph()
-    for label, key in data.get("indexes", ()):
-        graph.indexes.create_index(label, key)
-    id_map: Dict[int, int] = {}
-    try:
-        for spec in data["nodes"]:
-            node = graph.create_node(spec["labels"], spec.get("properties") or {})
-            id_map[spec["id"]] = node.id
-        for spec in data["relationships"]:
-            graph.create_relationship(
-                spec["type"],
-                id_map[spec["start"]],
-                id_map[spec["end"]],
-                spec.get("properties") or {},
-            )
-    except KeyError as exc:
-        raise StorageError(f"malformed graph document: missing {exc}") from exc
-    return graph
-
-
 def _resolve_format(path: str, format: Optional[str]) -> str:
     if format in (None, "auto"):
         return "json" if path.endswith(_JSON_SUFFIXES) else "v3"
-    if format in ("binary", "v2"):
-        return "binary"
     if format in ("json", "v3"):
         return format
     raise StorageError(
-        f"unknown snapshot format {format!r} "
-        f"(expected 'json', 'binary'/'v2', 'v3' or 'auto')"
+        f"unknown snapshot format {format!r} (expected 'json', 'v3' or 'auto')"
     )
 
 
 def _is_v3_header(head: bytes) -> bool:
-    """True when ``head`` starts a v3 snapshot (magic + LE u16 version)."""
-    return (
-        len(head) >= 10
-        and head[:8] == SNAPSHOT_MAGIC
-        and struct.unpack_from("<H", head, 8)[0] == SNAPSHOT_VERSION_V3
-    )
+    """True when ``head`` starts a v3 snapshot, False when it is not a
+    snapshot at all (v1 JSON, or too short to tell); raises
+    :class:`StorageError` for a snapshot header of any other version,
+    before a byte after the header is read or inflated."""
+    if head[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
+        return False
+    if len(head) < 10:
+        return True  # the v3 decoder reports the truncated header
+    version = struct.unpack_from("<H", head, 8)[0]
+    if version != SNAPSHOT_VERSION_V3:
+        raise unsupported_version(version)
+    return True
 
 
 def save_graph(graph: PropertyGraph, path: str, format: Optional[str] = None) -> None:
     """Write a graph to ``path``.
 
     ``format`` is ``"json"`` (the byte-stable v1 document; a ``.gz``
-    suffix enables gzip), ``"binary"``/``"v2"`` (the v2 columnar
-    snapshot, which compresses its own sections), ``"v3"`` (the
-    mmap-able zero-copy layout), or ``"auto"``/``None``: v3 unless the
-    path ends in ``.json``/``.json.gz``.  :func:`load_graph` reads any
-    format regardless of the file name.
+    suffix enables gzip), ``"v3"`` (the mmap-able zero-copy layout), or
+    ``"auto"``/``None``: v3 unless the path ends in ``.json``/
+    ``.json.gz``.  :func:`load_graph` reads either format regardless of
+    the file name.
     """
     resolved = _resolve_format(path, format)
     try:
         if resolved == "v3":
             with open(path, "wb") as fh:
                 fh.write(encode_snapshot_v3(graph))
-            return
-        if resolved == "binary":
-            with open(path, "wb") as fh:
-                fh.write(encode_snapshot(graph))
             return
         data = graph_to_dict(graph)
         if path.endswith(".gz"):
@@ -215,31 +180,35 @@ def save_graph(graph: PropertyGraph, path: str, format: Optional[str] = None) ->
         raise StorageError(f"cannot write graph to {path}: {exc}") from exc
 
 
-def load_graph(path: str) -> PropertyGraph:
-    """Read a graph previously written by :func:`save_graph` into a
-    mutable :class:`PropertyGraph`.
-
-    The format is detected from content, not the file name: gzip
-    wrapping is unpeeled first, then the payload is dispatched on the
-    snapshot magic plus version (v3 zero-copy layout or v2 columnar),
-    falling back to the v1 JSON document.  For the zero-copy open of a
-    v3 file — no materialisation — use :func:`open_graph`.
-    """
+def _open(path: str):
     if not os.path.exists(path):
         raise StorageError(f"graph file not found: {path}")
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[:2] == _GZIP_MAGIC:
-            raw = gzip.decompress(raw)
-    except (OSError, EOFError, zlib.error) as exc:
+        return open(path, "rb")
+    except OSError as exc:
         raise StorageError(f"cannot read graph from {path}: {exc}") from exc
+
+
+def _read(path: str, fh, size: int = -1) -> bytes:
+    try:
+        return fh.read(size)
+    except OSError as exc:
+        raise StorageError(f"cannot read graph from {path}: {exc}") from exc
+
+
+def _unpeel(path: str, raw: bytes) -> bytes:
+    """``raw`` with its gzip wrapping, if any, decompressed."""
+    if raw[:2] == _GZIP_MAGIC:
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise StorageError(f"cannot read graph from {path}: {exc}") from exc
     if not raw:
         raise StorageError(f"cannot read graph from {path}: file is empty")
-    if raw[: len(SNAPSHOT_MAGIC)] == SNAPSHOT_MAGIC:
-        if _is_v3_header(raw[:10]):
-            return decode_snapshot_v3(raw)
-        return decode_snapshot(raw)
+    return raw
+
+
+def _load_json(path: str, raw: bytes) -> PropertyGraph:
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -247,32 +216,39 @@ def load_graph(path: str) -> PropertyGraph:
     return graph_from_dict(data)
 
 
+def load_graph(path: str) -> PropertyGraph:
+    """Read a graph previously written by :func:`save_graph` into a
+    mutable :class:`PropertyGraph`.
+
+    The format is detected from content, not the file name: gzip
+    wrapping is unpeeled first, then the payload is dispatched on the
+    snapshot magic plus version (v3), falling back to the v1 JSON
+    document.  For the zero-copy open of a v3 file — no
+    materialisation — use :func:`open_graph`.
+    """
+    with _open(path) as fh:
+        raw = _unpeel(path, _read(path, fh))
+    if _is_v3_header(raw[:10]):
+        return decode_snapshot_v3(raw)
+    return _load_json(path, raw)
+
+
 def open_graph(path: str) -> Union[ArrayGraph, PropertyGraph]:
     """Open a snapshot for reading, zero-copy when the format allows.
 
     A v3 file comes back as a read-only mmap-backed
     :class:`~repro.graphdb.arraygraph.ArrayGraph` — O(header) open, one
-    physical copy shared by every process that opens the same path.  A
-    gzip-wrapped v3 payload becomes an in-memory ``ArrayGraph`` view
-    (decompressed once, still lazily decoded); anything else falls back
-    to :func:`load_graph` and returns a decoded ``PropertyGraph``.
-    Call ``.materialize()`` on the view when a mutable graph is needed.
+    physical copy shared by every process that opens the same path.
+    Anything else is read once: a gzip-wrapped v3 payload becomes an
+    in-memory ``ArrayGraph`` view (still lazily decoded), and a v1
+    document decodes into a ``PropertyGraph``.  Call ``.materialize()``
+    on the view when a mutable graph is needed.
     """
-    if not os.path.exists(path):
-        raise StorageError(f"graph file not found: {path}")
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(10)
-    except OSError as exc:
-        raise StorageError(f"cannot read graph from {path}: {exc}") from exc
-    if _is_v3_header(head):
-        return open_snapshot(path)
-    if head[:2] == _GZIP_MAGIC:
-        try:
-            with open(path, "rb") as fh:
-                raw = gzip.decompress(fh.read())
-        except (OSError, EOFError, zlib.error) as exc:
-            raise StorageError(f"cannot read graph from {path}: {exc}") from exc
-        if _is_v3_header(raw[:10]):
-            return view_snapshot(raw)
-    return load_graph(path)
+    with _open(path) as fh:
+        head = _read(path, fh, 10)
+        if not _is_v3_header(head):
+            raw = _unpeel(path, head + _read(path, fh))
+            if _is_v3_header(raw[:10]):
+                return view_snapshot(raw)
+            return _load_json(path, raw)
+    return open_snapshot(path)

@@ -5,8 +5,8 @@ the published version: a crash at any point loses at most the
 uncommitted transaction, never a committed one, and ``replay()``
 recovers the graph to the last durable commit.
 
-On-disk layout (record framing mirrors the v2 snapshot's checksummed
-sections — CRC32 over the payload, little-endian fixed-width frame):
+On-disk layout (checksummed records — CRC32 over the payload,
+little-endian fixed-width frame):
 
 ``header``
     ``TABBYWAL`` magic + ``<H`` format version + ``<H`` reserved.

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.api import Tabby
 from repro.core.chains import chain_record
-from repro.core.cpg import CLASS_LABEL, CPG, METHOD_LABEL, CPGStatistics
+from repro.core.cpg import CPG, CPGStatistics
 from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
@@ -46,7 +46,6 @@ from repro.errors import ReproError
 from repro.graphdb import fingerprint_digest
 from repro.graphdb.mvcc import VersionedGraph, version_of
 from repro.graphdb.storage import load_graph, open_graph
-from repro.jvm.hierarchy import ClassHierarchy
 from repro.serve.store import JobResult, ResultStore, bundle_key, canonical_options
 
 __all__ = [
@@ -313,10 +312,7 @@ class LiveGraph:
     def _load(self) -> Tuple[Any, str]:
         st = os.stat(self.path)
         token = f"{st.st_size}:{st.st_mtime_ns}"
-        graph = load_graph(self.path)
-        if not hasattr(graph, "freeze"):  # a read-only mmap view
-            graph = graph.materialize()
-        return graph, token
+        return load_graph(self.path), token
 
     def pin(self) -> Tuple[Any, int]:
         """The current committed version plus its number (wait-free)."""
@@ -349,12 +345,7 @@ class LiveGraph:
     def cpg_view(self, graph: Any) -> CPG:
         """A searchable CPG wrapper around one pinned version (no class
         hierarchy — same contract as a snapshot-loaded Tabby)."""
-        statistics = CPGStatistics(
-            class_node_count=graph.indexes.label_count(CLASS_LABEL),
-            method_node_count=graph.indexes.label_count(METHOD_LABEL),
-            relationship_edge_count=graph.relationship_count,
-        )
-        return CPG(graph, ClassHierarchy([]), statistics, {})
+        return CPG.from_graph(graph)
 
     def stats(self) -> Dict[str, Any]:
         graph, version = self.pin()
@@ -815,28 +806,23 @@ class JobManager:
         """Search a persisted CPG opened zero-copy from the snapshot dir.
 
         A v3 snapshot is mmap'd in place — N concurrent snapshot jobs
-        over the same file traverse one physical copy — while v1/v2
-        files decode per job as ``load_graph`` always has.  The opened
-        graph is additionally cached per file version (path + stat
-        identity), so repeat jobs over an unchanged file skip even the
-        O(header) open/decode; the cache entry is evicted alongside the
-        last stored result that used it.  No parse, build, lint or
-        refine phases run: the snapshot *is* the CPG, and the
-        fingerprint is a digest of the file bytes rather than of a
-        rebuilt graph.
+        over the same file traverse one physical copy — while a v1 JSON
+        file decodes per job.  A file with a retired or unknown snapshot
+        version fails the job with the storage error that names the
+        remedy.  The opened graph is additionally cached per file
+        version (path + stat identity), so repeat jobs over an unchanged
+        file skip even the O(header) open/decode; the cache entry is
+        evicted alongside the last stored result that used it.  No
+        parse, build, lint or refine phases run: the snapshot *is* the
+        CPG, and the fingerprint is a digest of the file bytes rather
+        than of a rebuilt graph.
         """
         import hashlib
 
         path = _resolve_snapshot(job.submission.payload[0], self.snapshot_dir)
         job.phase = "open"
-        graph = self._open_snapshot_graph(path, job.key)
-        statistics = CPGStatistics(
-            class_node_count=graph.indexes.label_count(CLASS_LABEL),
-            method_node_count=graph.indexes.label_count(METHOD_LABEL),
-            relationship_edge_count=graph.relationship_count,
-        )
-        cpg = CPG(graph, ClassHierarchy([]), statistics, {})
-        job.progress["cpg"] = _cpg_row(statistics)
+        cpg = CPG.from_graph(self._open_snapshot_graph(path, job.key))
+        job.progress["cpg"] = _cpg_row(cpg.statistics)
         job.phase = "search"
         finder = GadgetChainFinder(cpg, max_depth=options["max_depth"])
         chains = finder.find_chains(source_filter=options["source_filter"])

@@ -133,7 +133,7 @@ class TestPersistenceFormats:
     def chain_steps(self, chains):
         return [[s.qualified for s in c.steps] for c in chains]
 
-    @pytest.mark.parametrize("format", ["binary", "json"])
+    @pytest.mark.parametrize("format", ["v3", "json"])
     def test_load_cpg_reproduces_chains(self, tabby, tmp_path, format):
         path = str(tmp_path / "saved.cpg")
         cold = tabby.find_gadget_chains()
@@ -156,8 +156,8 @@ class TestPersistenceFormats:
         from repro.graphdb.snapshot import graph_fingerprint
 
         path = str(tmp_path / "saved.cpg")
-        tabby.save_cpg(path, format="binary")
-        warm = Tabby.load_cpg(path)
+        tabby.save_cpg(path, format="v3")
+        warm = Tabby.load_cpg(path, mmap=False)
         assert graph_fingerprint(warm.cpg.graph) == graph_fingerprint(
             tabby.cpg.graph
         )
@@ -171,7 +171,7 @@ class TestPersistenceFormats:
         assert stats.relationship_edge_count == tabby.cpg.graph.relationship_count
 
     def test_default_format_by_suffix(self, tabby, tmp_path):
-        from repro.graphdb.snapshot import SNAPSHOT_MAGIC
+        from repro.graphdb.snapshot_v3 import SNAPSHOT_MAGIC
 
         binary = tmp_path / "saved.cpg"
         jsonish = tmp_path / "saved.cpg.json"

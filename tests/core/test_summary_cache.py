@@ -263,10 +263,12 @@ class TestWarmRunIdentity:
         assert cold_chains  # the regression only means something with a chain
         assert cold.cpg.statistics.cached_method_count == 0
 
-        # binary save/load cycle in between the two cache runs
+        # binary (v3) save/load cycle in between the two cache runs
         path = str(tmp_path / "saved.cpg")
-        cold.save_cpg(path, format="binary")
-        reloaded = Tabby.load_cpg(path, sources=SourceCatalog.native())
+        cold.save_cpg(path, format="v3")
+        reloaded = Tabby.load_cpg(
+            path, mmap=False, sources=SourceCatalog.native()
+        )
         assert graph_fingerprint(reloaded.cpg.graph) == graph_fingerprint(
             cold.cpg.graph
         )

@@ -1,9 +1,9 @@
 """Differential tests: planned execution ≡ naive interpreter.
 
 The planner in :mod:`repro.graphdb.plan` promises row-multiset identity
-with the legacy interpreter for every query it accepts (and exact row
-order whenever the naive engine's output order is determined by ORDER
-BY).  These tests enforce that promise three ways:
+with the naive interpreter (the oracle in ``tests/oracles/query.py``)
+for every query it accepts (and exact row order whenever the naive
+engine's output order is determined by ORDER BY).  These tests enforce that promise three ways:
 
 * hand-written regression pins for the planner-specific behaviours —
   reversed anchors, predicate pushdown, bound-variable joins, top-k
@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.plan import build_plan, split_conjuncts, expr_variables
 from repro.graphdb.query import parse_query, run_query, _hashable
-from repro.errors import QueryExecutionError
+
+from tests.oracles.query import run_naive_query
 
 
 def row_multiset(result):
@@ -34,7 +35,7 @@ def row_multiset(result):
 
 def assert_equivalent(graph, cypher):
     """Planned ≡ naive as row multisets (and profiled ≡ planned exactly)."""
-    naive = run_query(graph, cypher, optimize=False)
+    naive = run_naive_query(graph, cypher)
     planned = run_query(graph, cypher)
     profiled = run_query(graph, cypher, profile=True)
     assert planned.columns == naive.columns
@@ -131,7 +132,7 @@ class TestReversedAnchor:
         )
         plan = build_plan(chain_graph, parse_query(cypher))
         assert plan.patterns[0].reversed
-        naive = run_query(chain_graph, cypher, optimize=False)
+        naive = run_naive_query(chain_graph, cypher)
         planned = run_query(chain_graph, cypher)
         assert row_multiset(planned) == row_multiset(naive)
         for row in planned.rows:
@@ -231,7 +232,7 @@ class TestPipeline:
 
     def test_bare_limit_short_circuits_but_same_multiset_window(self, chain_graph):
         cypher = "MATCH (a:Method) RETURN a.NAME LIMIT 5"
-        naive = run_query(chain_graph, cypher, optimize=False)
+        naive = run_naive_query(chain_graph, cypher)
         planned = run_query(chain_graph, cypher)
         # anchor candidates are id-ordered in both engines, so even the
         # unordered LIMIT window agrees here
@@ -276,17 +277,8 @@ class TestPipeline:
         as_dict = result.plan.to_dict()
         assert as_dict["rows_returned"] == len(result.rows)
 
-    def test_naive_engine_rejects_explain_and_profile(self, chain_graph):
-        with pytest.raises(QueryExecutionError):
-            run_query(chain_graph, "MATCH (a) RETURN a", optimize=False,
-                      explain=True)
-        with pytest.raises(QueryExecutionError):
-            run_query(chain_graph, "MATCH (a) RETURN a", optimize=False,
-                      profile=True)
-
     def test_naive_engine_has_no_plan(self, chain_graph):
-        result = run_query(chain_graph, "MATCH (a:Method) RETURN a.NAME",
-                           optimize=False)
+        result = run_naive_query(chain_graph, "MATCH (a:Method) RETURN a.NAME")
         assert result.plan is None
 
 
@@ -449,14 +441,14 @@ class TestDifferentialFuzz:
     @settings(max_examples=120, deadline=None)
     @given(graph=graphs(), cypher=queries())
     def test_planned_matches_naive(self, graph, cypher):
-        naive = run_query(graph, cypher, optimize=False)
+        naive = run_naive_query(graph, cypher)
         planned = run_query(graph, cypher)
         has_window = " SKIP " in cypher or " LIMIT " in cypher
         if has_window:
             # a SKIP/LIMIT window over a non-total order is any slice of
             # the full multiset — compare against the unwindowed query
             base = cypher.split(" SKIP ")[0].split(" LIMIT ")[0]
-            full = row_multiset(run_query(graph, base, optimize=False))
+            full = row_multiset(run_naive_query(graph, base))
             window = row_multiset(planned)
             assert all(window[k] <= full[k] for k in window), cypher
             assert len(planned.rows) == len(naive.rows), cypher
@@ -471,7 +463,7 @@ class TestDifferentialFuzz:
         base = cypher.split(" SKIP ")[0].split(" LIMIT ")[0]
         if " ORDER BY" not in base:
             base = base + " ORDER BY v"
-        naive = run_query(graph, base, optimize=False)
+        naive = run_naive_query(graph, base)
         planned = run_query(graph, base)
         keys = [tuple(_hashable(r["v"]) for r in naive.rows)]
         # exact order is only pinned when the sort key is total

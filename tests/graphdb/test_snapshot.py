@@ -1,21 +1,23 @@
-"""Unit tests for the v2 binary columnar snapshot codec."""
+"""Unit tests for the binary snapshot codec (format v3): value round
+trips, string and labelset interning, header errors, and format
+auto-detection on read.  File-level corruption, the mmap'd view and
+cross-process sharing are covered in ``test_snapshot_v3.py``."""
 
 import gzip
 import json
 import struct
 import sys
-import zlib
 
 import pytest
 
 from repro.errors import StorageError
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.snapshot import (
+from repro.graphdb.snapshot import graph_fingerprint
+from repro.graphdb.snapshot_v3 import (
     SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
-    decode_snapshot,
-    encode_snapshot,
-    graph_fingerprint,
+    SNAPSHOT_VERSION_V3,
+    decode_snapshot_v3,
+    encode_snapshot_v3,
 )
 from repro.graphdb.storage import load_graph, save_graph
 
@@ -48,16 +50,16 @@ def rich_graph():
 class TestRoundTrip:
     def test_fingerprint_identical(self):
         g = rich_graph()
-        g2 = decode_snapshot(encode_snapshot(g))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(g))
         assert graph_fingerprint(g2) == graph_fingerprint(g)
 
     def test_empty_graph(self):
-        g2 = decode_snapshot(encode_snapshot(PropertyGraph()))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(PropertyGraph()))
         assert g2.node_count == 0
         assert g2.relationship_count == 0
 
     def test_property_values_survive(self):
-        g2 = decode_snapshot(encode_snapshot(rich_graph()))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(rich_graph()))
         m = g2.find_node("Method", NAME="run")
         assert m["PP"] == [0, 1]
         assert m["BIG"] == 1 << 70
@@ -69,20 +71,20 @@ class TestRoundTrip:
     def test_special_floats(self):
         g = PropertyGraph()
         g.create_node(["N"], {"INF": float("inf"), "NINF": float("-inf")})
-        n = decode_snapshot(encode_snapshot(g)).node(0)
+        n = decode_snapshot_v3(encode_snapshot_v3(g)).node(0)
         assert n["INF"] == float("inf")
         assert n["NINF"] == float("-inf")
 
     def test_unicode_strings(self):
         g = PropertyGraph()
         g.create_node(["Ünïcode"], {"NAME": "日本語 – ärger ✓"})
-        g2 = decode_snapshot(encode_snapshot(g))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(g))
         assert g2.node(0)["NAME"] == "日本語 – ärger ✓"
         assert g2.node(0).has_label("Ünïcode")
 
     def test_indexes_and_adjacency_restored(self):
         g = rich_graph()
-        g2 = decode_snapshot(encode_snapshot(g))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(g))
         assert g2.indexes.indexes() == g.indexes.indexes()
         assert g2.indexes.lookup("Method", "NAME", "run") == {1}
         assert [r.id for r in g2.out_relationships(1, "CALL")] == [1]
@@ -92,7 +94,7 @@ class TestRoundTrip:
         g = rich_graph()
         victim = g.create_node(["Class"], {"NAME": "Gone"})
         g.delete_node(victim)
-        g2 = decode_snapshot(encode_snapshot(g))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(g))
         assert sorted(n.id for n in g2.nodes()) == [0, 1, 2]
         assert g2._next_node_id == 3
 
@@ -102,7 +104,7 @@ class TestInterning:
         g = PropertyGraph()
         for i in range(4):
             g.create_node(["Method", "Phantom"], {"NAME": f"m{i}"})
-        g2 = decode_snapshot(encode_snapshot(g))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(g))
         labelsets = {id(n.labels) for n in g2.nodes()}
         assert len(labelsets) == 1
 
@@ -110,14 +112,14 @@ class TestInterning:
         g = PropertyGraph()
         for i in range(4):
             g.create_node(["Method"], {"CLASSNAME": "com.example.Widget"})
-        g2 = decode_snapshot(encode_snapshot(g))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(g))
         objects = {id(n.properties["CLASSNAME"]) for n in g2.nodes()}
         assert len(objects) == 1
 
     def test_property_keys_interned_on_load(self):
         g = PropertyGraph()
         g.create_node(["Method"], {"SIGNATURE": "x"})
-        g2 = decode_snapshot(encode_snapshot(g))
+        g2 = decode_snapshot_v3(encode_snapshot_v3(g))
         (key,) = g2.node(0).properties
         assert key is sys.intern("SIGNATURE")
 
@@ -125,39 +127,31 @@ class TestInterning:
 class TestCorruption:
     def test_truncated_header(self):
         with pytest.raises(StorageError, match="truncated"):
-            decode_snapshot(SNAPSHOT_MAGIC[:4])
+            decode_snapshot_v3(SNAPSHOT_MAGIC[:4])
 
     def test_bad_magic(self):
-        data = bytearray(encode_snapshot(rich_graph()))
+        data = bytearray(encode_snapshot_v3(rich_graph()))
         data[:8] = b"NOTACPG!"
         with pytest.raises(StorageError, match="magic"):
-            decode_snapshot(bytes(data))
+            decode_snapshot_v3(bytes(data))
 
     def test_unsupported_version(self):
-        data = bytearray(encode_snapshot(rich_graph()))
-        struct.pack_into("<H", data, 8, SNAPSHOT_VERSION + 1)
-        with pytest.raises(StorageError, match="version.*re-export"):
-            decode_snapshot(bytes(data))
+        data = bytearray(encode_snapshot_v3(rich_graph()))
+        for version in (2, SNAPSHOT_VERSION_V3 + 1):
+            struct.pack_into("<H", data, 8, version)
+            with pytest.raises(
+                StorageError, match=f"version {version}.*tabby analyze"
+            ):
+                decode_snapshot_v3(bytes(data))
 
     def test_truncated_body(self):
-        data = encode_snapshot(rich_graph())
+        data = encode_snapshot_v3(rich_graph())
         with pytest.raises(StorageError, match="truncated"):
-            decode_snapshot(data[: len(data) - 7])
-
-    def test_flipped_payload_byte_fails_checksum(self):
-        data = bytearray(encode_snapshot(rich_graph()))
-        data[-3] ^= 0xFF  # inside the last section's payload
-        with pytest.raises(StorageError, match="checksum|truncated"):
-            decode_snapshot(bytes(data))
-
-    def test_trailing_garbage(self):
-        data = encode_snapshot(rich_graph()) + b"junk"
-        with pytest.raises(StorageError, match="trailing"):
-            decode_snapshot(data)
+            decode_snapshot_v3(data[: len(data) - 7])
 
     def test_truncated_file_raises_storage_error(self, tmp_path):
         path = tmp_path / "g.cpg"
-        save_graph(rich_graph(), str(path), format="binary")
+        save_graph(rich_graph(), str(path), format="v3")
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(StorageError):
             load_graph(str(path))
@@ -167,12 +161,12 @@ class TestAutoDetect:
     @pytest.mark.parametrize(
         "name,format",
         [
-            ("g.cpg", None),          # auto -> binary
-            ("g.cpg", "binary"),
+            ("g.cpg", None),          # auto -> v3
+            ("g.cpg", "v3"),
             ("g.json", None),         # auto -> v1 json
             ("g.json.gz", None),      # auto -> gzip v1 json
             ("g.weird", "json"),      # explicit json under a binary-ish name
-            ("g.json", "binary"),     # explicit binary under a json name
+            ("g.json", "v3"),         # explicit v3 under a json name
         ],
     )
     def test_load_graph_detects_content(self, tmp_path, name, format):
@@ -184,7 +178,7 @@ class TestAutoDetect:
     def test_gzipped_binary_snapshot_loads(self, tmp_path):
         g = rich_graph()
         path = tmp_path / "g.cpg.gz"
-        path.write_bytes(gzip.compress(encode_snapshot(g)))
+        path.write_bytes(gzip.compress(encode_snapshot_v3(g)))
         assert graph_fingerprint(load_graph(str(path))) == graph_fingerprint(g)
 
     def test_json_format_is_byte_stable_v1(self, tmp_path):
@@ -199,10 +193,9 @@ class TestAutoDetect:
         with pytest.raises(StorageError, match="unknown snapshot format"):
             save_graph(rich_graph(), str(tmp_path / "g"), format="msgpack")
 
-    def test_binary_smaller_than_plain_json(self, tmp_path):
-        g = rich_graph()
-        binary = tmp_path / "g.cpg"
-        text = tmp_path / "g.json"
-        save_graph(g, str(binary), format="binary")
-        save_graph(g, str(text), format="json")
-        assert binary.stat().st_size < text.stat().st_size
+    @pytest.mark.parametrize("format", ["binary", "v2"])
+    def test_retired_v2_format_rejected_on_save(self, tmp_path, format):
+        path = tmp_path / "g.cpg"
+        with pytest.raises(StorageError, match="unknown snapshot format"):
+            save_graph(rich_graph(), str(path), format=format)
+        assert not path.exists()

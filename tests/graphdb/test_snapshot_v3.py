@@ -4,9 +4,9 @@ parity with PropertyGraph, and cross-process mmap sharing.
 The contract under test, in three layers:
 
 * **corruption** — every malformed input (empty file, shorter than the
-  magic, a v3 header stapled onto a v2 body, truncation anywhere in the
-  section area) must surface as a structured ``StorageError``, never a
-  raw ``struct.error``/``IndexError``;
+  magic, a v3 header stapled onto a foreign body, truncation anywhere in
+  the section area, a retired v2 file) must surface as a structured
+  ``StorageError``, never a raw ``struct.error``/``IndexError``;
 * **parity** — the mmap'd :class:`ArrayGraph` answers the entire read
   surface (lookups, degrees, indexes, queries, chain search in every
   uniqueness mode) bit-identically to the ``PropertyGraph`` the
@@ -17,6 +17,8 @@ The contract under test, in three layers:
 
 import multiprocessing
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -27,12 +29,9 @@ from repro.errors import GraphError, StorageError
 from repro.graphdb.arraygraph import ArrayGraph
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query import run_query
-from repro.graphdb.snapshot import (
-    decode_snapshot,
-    encode_snapshot,
-    graph_fingerprint,
-)
+from repro.graphdb.snapshot import graph_fingerprint
 from repro.graphdb.snapshot_v3 import (
+    SNAPSHOT_MAGIC,
     decode_snapshot_v3,
     encode_snapshot_v3,
     open_snapshot,
@@ -115,16 +114,18 @@ class TestCorruption:
         with pytest.raises(StorageError):
             open_graph(str(path))
 
-    def test_v3_header_on_v2_body(self, tmp_path):
-        """A version field bumped to 3 on real v2 bytes must fail the
-        table checksum, not be misparsed as sections."""
-        data = bytearray(encode_snapshot(small_graph()))
-        struct.pack_into("<H", data, 8, 3)
+    def test_v3_header_on_foreign_body(self, tmp_path):
+        """A v3 header stapled onto bytes that are not a v3 section
+        table (here a v1 JSON document) must fail the table checksum,
+        not be misparsed as sections."""
+        v1_path = tmp_path / "g.json"
+        save_graph(small_graph(), str(v1_path), format="json")
+        header = struct.pack("<8sHHI", SNAPSHOT_MAGIC, 3, 0, 20)
         path = tmp_path / "lying.cpg"
-        path.write_bytes(bytes(data))
-        with pytest.raises(StorageError):
+        path.write_bytes(header + v1_path.read_bytes())
+        with pytest.raises(StorageError, match="checksum"):
             load_graph(str(path))
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="checksum"):
             open_graph(str(path))
 
     @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5, 0.8, 0.97])
@@ -176,11 +177,6 @@ class TestRoundTrip:
         assert graph_fingerprint(decode_snapshot_v3(encode_snapshot_v3(g))) \
             == graph_fingerprint(g)
 
-    def test_v3_matches_v2_decode(self):
-        g = small_graph()
-        assert graph_fingerprint(decode_snapshot_v3(encode_snapshot_v3(g))) \
-            == graph_fingerprint(decode_snapshot(encode_snapshot(g)))
-
     def test_default_save_is_v3_and_autodetected(self, tmp_path):
         path = str(tmp_path / "g.cpg")
         save_graph(small_graph(), path)  # auto -> v3
@@ -202,16 +198,64 @@ class TestRoundTrip:
         assert isinstance(view, ArrayGraph)
         assert view.path is None  # decompressed copy, not a file mapping
 
-    def test_v2_file_still_loads(self, tmp_path):
-        path = str(tmp_path / "g.cpg")
-        g = small_graph()
-        save_graph(g, path, format="binary")
-        assert graph_fingerprint(load_graph(path)) == graph_fingerprint(g)
-        assert isinstance(open_graph(path), PropertyGraph)
-
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(StorageError, match="unknown snapshot format"):
             save_graph(small_graph(), str(tmp_path / "g.cpg"), format="v9")
+
+
+def v2_file(path, inflated_bytes=64):
+    """A file with the retired v2 framing: the ``TABBYCPG`` header with
+    version 2, then one zlib-compressed section that inflates to
+    ``inflated_bytes`` of zeros while declaring a 16-byte payload."""
+    compressor = zlib.compressobj(9)
+    chunk = bytes(min(inflated_bytes, 1 << 20))
+    stored = b"".join(
+        compressor.compress(chunk) for _ in range(inflated_bytes // len(chunk))
+    ) + compressor.flush()
+    section = struct.pack("<BIQQ", 1, zlib.crc32(stored), 16, len(stored))
+    header = struct.pack("<8sHHI", SNAPSHOT_MAGIC, 2, 0, 1)
+    path.write_bytes(header + section + stored)
+    return str(path)
+
+
+class TestRetiredFormat:
+    """v2 columnar snapshots are no longer read: the header alone is
+    enough to reject them, with an error that says what to do."""
+
+    @pytest.mark.parametrize("reader", [load_graph, open_graph])
+    def test_v2_file_rejected_with_remedy(self, tmp_path, reader):
+        path = v2_file(tmp_path / "old.cpg")
+        with pytest.raises(StorageError) as info:
+            reader(path)
+        message = str(info.value)
+        assert "version 2" in message
+        assert "tabby analyze" in message
+        assert 'format="v3"' in message
+
+    def test_gzipped_v2_file_rejected(self, tmp_path):
+        import gzip
+
+        plain = v2_file(tmp_path / "old.cpg")
+        path = tmp_path / "old.cpg.gz"
+        with open(plain, "rb") as fh:
+            path.write_bytes(gzip.compress(fh.read()))
+        for reader in (load_graph, open_graph):
+            with pytest.raises(StorageError, match="version 2"):
+                reader(str(path))
+
+    @pytest.mark.parametrize("reader", [load_graph, open_graph])
+    def test_inflating_v2_file_fails_without_decompressing(self, tmp_path, reader):
+        """A section that inflates to 16 MiB is never inflated: the
+        reader stops at the header."""
+        path = v2_file(tmp_path / "bomb.cpg", inflated_bytes=16 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StorageError, match="version 2"):
+                reader(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak} bytes allocated rejecting the file"
 
 
 # ---------------------------------------------------------------------------

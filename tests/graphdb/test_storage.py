@@ -8,12 +8,14 @@ from repro.errors import StorageError
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.snapshot import graph_fingerprint
 from repro.graphdb.storage import (
-    _graph_from_dict_checked,
     graph_from_dict,
     graph_to_dict,
     load_graph,
+    open_graph,
     save_graph,
 )
+
+from tests.oracles.storage import _graph_from_dict_checked
 
 
 def sample_graph():
@@ -67,6 +69,29 @@ class TestRoundTrip:
         with pytest.raises(StorageError):
             load_graph(str(path))
 
+    @pytest.mark.parametrize("reader", [load_graph, open_graph])
+    @pytest.mark.parametrize("format", ["json", "v3"])
+    def test_gzip_file_decompressed_once(self, tmp_path, monkeypatch, reader, format):
+        """Each reader reads and unpeels a gzip file once, then
+        dispatches on the payload."""
+        import gzip
+
+        g = sample_graph()
+        path = tmp_path / "g.gz"
+        save_graph(g, str(tmp_path / "g"), format=format)
+        path.write_bytes(gzip.compress((tmp_path / "g").read_bytes()))
+        calls = []
+        decompress = gzip.decompress
+
+        def counting(data):
+            calls.append(len(data))
+            return decompress(data)
+
+        monkeypatch.setattr(gzip, "decompress", counting)
+        loaded = reader(str(path))
+        assert len(calls) == 1
+        assert loaded.node_count == g.node_count
+
 
 class TestBulkLoaderEquivalence:
     """graph_from_dict (trusted bulk path) vs the legacy validated
@@ -93,12 +118,12 @@ class TestBulkLoaderEquivalence:
         assert sorted(n.id for n in bulk.nodes()) == list(range(bulk.node_count))
 
     def test_columnar_loader_matches_row_loader(self):
-        """The v2 decode path (_bulk_load_columns) and the v1 path
+        """The v3 decode path (_bulk_load_columns) and the v1 path
         (_bulk_load) must produce interchangeable graphs."""
-        from repro.graphdb.snapshot import decode_snapshot, encode_snapshot
+        from repro.graphdb.snapshot_v3 import decode_snapshot_v3, encode_snapshot_v3
 
         g = sample_graph()
-        via_columns = decode_snapshot(encode_snapshot(g))
+        via_columns = decode_snapshot_v3(encode_snapshot_v3(g))
         via_rows = graph_from_dict(graph_to_dict(g))
         assert graph_fingerprint(via_columns) == graph_fingerprint(via_rows)
         assert graph_fingerprint(via_columns) == graph_fingerprint(g)
@@ -190,7 +215,7 @@ _multi_labels = st.sets(st.sampled_from(["A", "B", "C", "Method"]), min_size=1,
 _rel_types = st.sampled_from(["CALL", "ALIAS", "HAS"])
 
 
-@pytest.mark.parametrize("format", ["json", "binary", "v3"])
+@pytest.mark.parametrize("format", ["json", "v3"])
 @settings(max_examples=25, deadline=None)
 @given(
     node_specs=st.lists(st.tuples(_multi_labels, _props), min_size=1, max_size=8),

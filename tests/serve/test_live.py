@@ -240,3 +240,24 @@ class TestSnapshotGraphCache:
         client.poll_done(b["id"])
         stats = server.manager.stats()["snapshot_graphs"]
         assert stats["opens"] == opens_before + 1
+
+
+class TestRetiredSnapshotFormat:
+    def test_v2_snapshot_job_fails_with_remedy(self, tmp_path):
+        import struct
+
+        from repro.graphdb.snapshot_v3 import SNAPSHOT_MAGIC
+
+        (tmp_path / "old.cpg").write_bytes(
+            struct.pack("<8sHHI", SNAPSHOT_MAGIC, 2, 0, 5) + bytes(64)
+        )
+        manager = JobManager(workers=1, inline=True, snapshot_dir=str(tmp_path))
+        try:
+            job, status = manager.submit({"snapshot": "old.cpg"})
+            assert status == "new"
+            assert job.state == "failed"
+            assert "unsupported snapshot format version 2" in job.error
+            assert "tabby analyze" in job.error
+            assert manager.stats()["snapshot_graphs"]["entries"] == 0
+        finally:
+            manager.shutdown()

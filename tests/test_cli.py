@@ -103,28 +103,6 @@ class TestAnalyze:
         rows = json.loads(captured.out)  # --json output stays clean
         assert rows == [{"n": "invoke"}]
 
-    def test_query_no_planner_matches_default(self, jar_dir, tmp_path, capsys):
-        cpg = str(tmp_path / "out.cpg.json.gz")
-        main(["analyze", jar_dir, "-o", cpg])
-        cypher = ("MATCH (m:Method {IS_SINK: true}) "
-                  "RETURN m.NAME AS n ORDER BY n")
-        capsys.readouterr()
-        assert main(["query", cpg, cypher]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["query", cpg, "--no-planner", cypher]) == 0
-        legacy_out = capsys.readouterr().out
-        assert legacy_out == default_out
-
-    def test_query_no_planner_rejects_explain(self, jar_dir, tmp_path, capsys):
-        cpg = str(tmp_path / "out.cpg.json.gz")
-        main(["analyze", jar_dir, "-o", cpg])
-        capsys.readouterr()
-        assert main([
-            "query", cpg, "--no-planner", "--explain",
-            "MATCH (m:Method) RETURN m.NAME AS n",
-        ]) == 2
-        assert "incompatible" in capsys.readouterr().err
-
     def test_missing_classpath_errors(self, capsys):
         assert main(["analyze", "/no/such/dir"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -159,7 +137,7 @@ class TestSnapshotFormats:
                                           monkeypatch, capsys):
         import struct
 
-        from repro.graphdb.snapshot import SNAPSHOT_MAGIC
+        from repro.graphdb.snapshot_v3 import SNAPSHOT_MAGIC
 
         monkeypatch.chdir(tmp_path)
         assert main(["analyze", jar_dir]) == 0
@@ -180,7 +158,7 @@ class TestSnapshotFormats:
         ))
         assert doc["format_version"] == 1
 
-    @pytest.mark.parametrize("format", ["v3", "binary", "json"])
+    @pytest.mark.parametrize("format", ["v3", "json"])
     def test_chains_over_saved_cpg_matches_classpath_run(self, jar_dir, tmp_path,
                                                          format, capsys):
         cpg = str(tmp_path / "saved.cpg")
@@ -222,6 +200,40 @@ class TestSnapshotFormats:
             "MATCH (m:Method {IS_SINK: true}) RETURN m.NAME AS n",
         ]) == 0
         assert json.loads(capsys.readouterr().out) == [{"n": "invoke"}]
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "jars", "--format", "binary"],
+            ["query", "x.cpg", "--no-planner", "MATCH (m) RETURN m"],
+        ],
+    )
+    def test_retired_format_and_planner_flags_are_usage_errors(self, argv,
+                                                                capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "{cpg}", "MATCH (m:Method) RETURN m.NAME"],
+            ["chains", "--cpg", "{cpg}", "--json"],
+        ],
+    )
+    def test_v2_snapshot_fails_with_remedy(self, tmp_path, argv, capsys):
+        import struct
+
+        from repro.graphdb.snapshot_v3 import SNAPSHOT_MAGIC
+
+        cpg = tmp_path / "old.cpg"
+        cpg.write_bytes(struct.pack("<8sHHI", SNAPSHOT_MAGIC, 2, 0, 5) + bytes(64))
+        assert main([arg.format(cpg=cpg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unsupported snapshot format version 2" in captured.err
+        assert "tabby analyze" in captured.err
 
 
 class TestBenchCommand:
