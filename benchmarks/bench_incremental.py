@@ -62,7 +62,6 @@ def cold_pipeline(classes, cfg):
         follow_alias=cfg.follow_alias,
         max_results_per_sink=cfg.max_results_per_sink,
         uniqueness=cfg.uniqueness,
-        optimize=cfg.optimize,
     )
     per_sink = finder.find_chains_per_sink(
         cpg.sink_nodes(), source_filter=cfg.source_filter

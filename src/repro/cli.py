@@ -162,10 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "and/or via taint summaries; the refined list is "
                         "a verbatim subset of the unrefined one "
                         "(extension, off by default)")
-    chains.add_argument("--baseline-search", action="store_true",
-                        help="use the unoptimized search engine (no "
-                        "reachability pruning / negative caching); the "
-                        "chain set is identical either way")
     chains.add_argument("--json", action="store_true", help="machine-readable output")
 
     diff = sub.add_parser(
@@ -419,7 +415,6 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         source_filter=args.source_filter,
         refine=args.refine,
-        optimize=not args.baseline_search,
     )
     refined = tabby.last_refine
     if refined is not None:
@@ -658,6 +653,9 @@ def _cmd_sinks(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+    import threading
+
     from repro.serve.app import create_server
 
     workers = args.workers or len(os.sched_getaffinity(0))
@@ -681,18 +679,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 1
-    print(
-        f"tabby serve listening on {server.url} "
-        f"({workers} worker(s), cache-dir={args.cache_dir or 'none'})",
-        file=sys.stderr,
-    )
+    # SIGINT and SIGTERM both stop the listener and take the drain path
+    # — SIGINT even when the process started with it ignored (as a
+    # background job of a non-interactive shell starts it).  shutdown()
+    # blocks until serve_forever() returns, so it runs off the main
+    # thread; requested before the loop starts, the loop returns at once.
+    def stop(signum, frame) -> None:
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    previous = {
+        signum: signal.signal(signum, stop)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
+        print(
+            f"tabby serve listening on {server.url} "
+            f"({workers} worker(s), cache-dir={args.cache_dir or 'none'})",
+            file=sys.stderr,
+        )
         server.serve_forever()
-    except KeyboardInterrupt:
         mode = "cancelling queued jobs" if args.no_drain else "draining queued jobs"
         print(f"\nshutting down: {mode}", file=sys.stderr)
     finally:
         server.close(drain=not args.no_drain)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
 
 

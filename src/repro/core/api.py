@@ -137,7 +137,6 @@ class Tabby:
         uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH,
         refine: Optional[Sequence[str]] = None,
         skip_rta_dead: bool = False,
-        optimize: bool = True,
     ) -> List[GadgetChain]:
         """Run the tabby-path-finder search over the CPG.
 
@@ -162,9 +161,10 @@ class Tabby:
         ``max_results_per_sink`` is ``None`` (truncation composes
         differently with pruning).
 
-        ``optimize=False`` restores the baseline search engine (no
-        reachability pruning or negative caching) — the chain set is
-        identical either way.  Diagnostics for the last run are kept in
+        The search is one DFS with source-reachability pruning and
+        negative state caching, both result-preserving; ``max_depth``
+        is bounded by memory, not by the interpreter's recursion limit.
+        Diagnostics for the last run are kept in
         :attr:`last_search_stats`.
         """
         cpg = self.build_cpg()
@@ -183,7 +183,6 @@ class Tabby:
             follow_alias=follow_alias,
             max_results_per_sink=max_results_per_sink,
             uniqueness=uniqueness,
-            optimize=optimize,
             skip_rta_dead=skip_rta_dead,
         )
         chains = finder.find_chains(source_filter=source_filter)
@@ -205,7 +204,6 @@ class Tabby:
         max_results_per_sink: Optional[int] = 200,
         uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH,
         refine: Optional[Sequence[str]] = None,
-        optimize: bool = True,
     ):
         """Compare gadget chains across two versions of a classpath.
 
@@ -240,7 +238,6 @@ class Tabby:
                 follow_alias=follow_alias,
                 max_results_per_sink=max_results_per_sink,
                 uniqueness=uniqueness,
-                optimize=optimize,
             ),
         )
         old_chains = list(session.chains)

@@ -31,10 +31,11 @@ in its closure).  The update therefore:
    :class:`~repro.errors.IncrementalError` and the analyzer falls back
    to a full rebuild — the patch is fast, the verdict is sound;
 4. re-searches **only the dirty sinks** — those whose backward
-   CALL/ALIAS cone intersects the touched node set (computed as a
-   forward BFS from the touched nodes, the exact reversal used by the
-   path finder's reachability pruning) — and splices the fresh per-sink
-   chain lists into the untouched remainder deterministically.
+   CALL/ALIAS cone intersects the touched node set (computed by
+   :func:`~repro.core.pathfinder.forward_closure` from the touched
+   nodes, the closure the path finder's reachability pruning runs from
+   the sources) — and splices the fresh per-sink chain lists into the
+   untouched remainder deterministically.
 
 The result is bit-identical to a cold rebuild: same chain list, same
 graph fingerprint after the renumber.  ``tabby diff`` builds on this to
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -66,7 +66,7 @@ from repro.core.cpg import (
     INTERFACE,
     METHOD_LABEL,
 )
-from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
+from repro.core.pathfinder import GadgetChainFinder, SearchStatistics, forward_closure
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
 from repro.core.summary_cache import (
@@ -119,7 +119,6 @@ class ChainSearchConfig:
     follow_alias: bool = True
     max_results_per_sink: Optional[int] = 200
     uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH
-    optimize: bool = True
 
 
 @dataclass
@@ -484,7 +483,6 @@ class IncrementalAnalyzer:
             follow_alias=cfg.follow_alias,
             max_results_per_sink=cfg.max_results_per_sink,
             uniqueness=cfg.uniqueness,
-            optimize=cfg.optimize,
         )
 
     @staticmethod
@@ -1498,54 +1496,6 @@ class IncrementalAnalyzer:
 
     # -- dirty-cone re-search -----------------------------------------------
 
-    def _forward_cone(self, seed_ids: Iterable[int]) -> Set[int]:
-        """Every node with any CALL-forward/ALIAS path from a seed —
-        the reversal of the backward search step, so a sink outside
-        this set cannot have a touched node anywhere in its search
-        tree (the same argument as the path finder's source-reachable
-        pruning, run from the dirty side)."""
-        graph = self.cpg.graph
-        follow_alias = self.search.follow_alias
-        seen: Set[int] = set()
-        queue: deque = deque()
-        for node_id in seed_ids:
-            if node_id not in seen:
-                seen.add(node_id)
-                queue.append(node_id)
-        csr = getattr(graph, "csr_neighbors", None)
-        if csr is not None:
-            hops = [csr(CALL, False)]
-            if follow_alias:
-                hops.append(csr(ALIAS, False))
-                hops.append(csr(ALIAS, True))
-            while queue:
-                node_id = queue.popleft()
-                for indptr, neighbours in hops:
-                    for nbr in neighbours[
-                        indptr[node_id] : indptr[node_id + 1]
-                    ]:
-                        if nbr not in seen:
-                            seen.add(nbr)
-                            queue.append(nbr)
-            return seen
-        while queue:
-            node_id = queue.popleft()
-            for rel in graph.out_relationships(node_id, CALL):
-                if rel.end_id not in seen:
-                    seen.add(rel.end_id)
-                    queue.append(rel.end_id)
-            if not follow_alias:
-                continue
-            for rel in graph.out_relationships(node_id, ALIAS):
-                if rel.end_id not in seen:
-                    seen.add(rel.end_id)
-                    queue.append(rel.end_id)
-            for rel in graph.in_relationships(node_id, ALIAS):
-                if rel.start_id not in seen:
-                    seen.add(rel.start_id)
-                    queue.append(rel.start_id)
-        return seen
-
     def _research_and_splice(
         self, touched: Set[MethodKey], stats: IncrementalStatistics
     ) -> None:
@@ -1556,7 +1506,10 @@ class IncrementalAnalyzer:
             )
             if node_id is not None
         ]
-        cone = self._forward_cone(seeds)
+        # a sink outside the dirty side's forward closure cannot have a
+        # touched node anywhere in its search tree (the reachability
+        # prune's argument, run from the edited methods)
+        cone = forward_closure(self.cpg.graph, seeds, self.search.follow_alias)
         sinks = self.cpg.sink_nodes()
         research: List[Node] = []
         for sink in sinks:

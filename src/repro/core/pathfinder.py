@@ -18,20 +18,22 @@ Trigger_Condition as per-path state:
 Accepted paths are reversed into :class:`GadgetChain` objects
 (source -> ... -> sink).
 
-The search runs on an optimized engine by default.  Two throughput
-layers sit on top of the plain Expander/Evaluator enumeration, each
-provably result-preserving (the differential harness in
-``tests/core/test_search_equivalence.py`` asserts bit-identical chain
-sets against the baseline engine):
+The Expander and Evaluator are methods of :class:`GadgetChainFinder`,
+and one engine drives them: a preorder DFS over an explicit frame
+stack, so ``max_depth`` is bounded by memory, not by the interpreter's
+recursion limit.  It enumerates paths in exactly the order of the
+generic expander/evaluator traversal, and two result-preserving layers
+cut the work:
 
-* **source-reachability pruning** — a one-pass forward BFS from every
-  source over CALL (caller->callee) and ALIAS (both directions) edges
-  over-approximates, TC-agnostically, the set of nodes from which the
-  backward search could ever reach a source.  The Expander refuses to
-  step into any node outside the set.  Unreachability is closed under
-  backward steps, so the refused subtrees contain no accepted path —
-  including under ``NODE_GLOBAL``, where the skipped visited-marks
-  could only ever have suppressed other unreachable visits;
+* **source-reachability pruning** — :func:`forward_closure` from every
+  source, over CALL (caller->callee) and ALIAS (both directions)
+  edges, over-approximates, TC-agnostically, the set of nodes from
+  which the backward search could ever reach a source.  The Expander
+  refuses to step into any node outside the set.  Unreachability is
+  closed under backward steps, so the refused subtrees contain no
+  accepted path — including under ``NODE_GLOBAL``, where the skipped
+  visited-marks could only ever have suppressed other unreachable
+  visits;
 * **negative state caching** — the DFS records ``(node, TC-set,
   remaining-depth)`` states whose expansion subtree was exhausted
   without finding a chain *and* without being clipped by a
@@ -40,11 +42,13 @@ sets against the baseline engine):
   are skipped.  Only failures are cached — accepted paths are always
   enumerated exhaustively, so the chain set (and its enumeration
   order, hence ``max_results`` truncation) is unchanged by
-  construction.  Disabled under ``NODE_GLOBAL``, whose global visited
-  set makes subtree outcomes order-dependent.
+  construction.  Off under ``NODE_GLOBAL``, whose global visited set
+  makes subtree outcomes order-dependent.
 
-``optimize=False`` restores the baseline engine (the generic
-:func:`repro.graphdb.traversal.traverse` enumeration) bit-for-bit.
+The generic enumeration with neither layer is the reference engine in
+``tests/oracles/search.py``; the differential harness in
+``tests/core/test_search_equivalence.py`` asserts bit-identical chain
+lists against it.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -69,14 +73,65 @@ from repro.core.cpg import ALIAS, CALL, CPG, RTA_DEAD
 from repro.core.actions import traverse_tc
 from repro.errors import PathFinderError
 from repro.graphdb.graph import Node, PropertyGraph, Relationship
-from repro.graphdb.traversal import Evaluation, Path, Uniqueness, traverse
+from repro.graphdb.traversal import Evaluation, Path, Uniqueness
 
-__all__ = ["GadgetChainFinder", "SearchStatistics"]
+__all__ = ["GadgetChainFinder", "SearchStatistics", "forward_closure"]
 
-#: recursion headroom guard: beyond this depth the optimized DFS falls
-#: back to the iterative baseline engine (results are identical either
-#: way; the negative cache simply does not apply)
-_MAX_RECURSIVE_DEPTH = 400
+
+def forward_closure(
+    graph: PropertyGraph, seed_ids: Iterable[int], follow_alias: bool = True
+) -> Set[int]:
+    """Every node reachable from a seed along caller->callee CALL edges
+    and (with ``follow_alias``) ALIAS edges in either direction, the
+    seeds included.
+
+    This is the reversal of the backward search step, which goes
+    callee -> caller over an incoming CALL edge or across ALIAS either
+    way.  Seeded with the sources, it covers every node with *any*
+    step sequence to a source, ignoring PP rejections, depth and the
+    consecutive-ALIAS rule; seeded with edited methods, it covers every
+    sink whose search tree can contain one of them.
+    """
+    seen: Set[int] = set()
+    queue: deque = deque()
+    for node_id in seed_ids:
+        if node_id not in seen:
+            seen.add(node_id)
+            queue.append(node_id)
+    csr = getattr(graph, "csr_neighbors", None)
+    if csr is not None:
+        # array-backed snapshot view (ArrayGraph): identical BFS over
+        # the typed CSR neighbour arrays — same visited set, but no
+        # Relationship objects allocated along the sweep
+        hops = [csr(CALL, False)]
+        if follow_alias:
+            hops.append(csr(ALIAS, False))
+            hops.append(csr(ALIAS, True))
+        while queue:
+            node_id = queue.popleft()
+            for indptr, neighbours in hops:
+                for nbr in neighbours[indptr[node_id] : indptr[node_id + 1]]:
+                    if nbr not in seen:
+                        seen.add(nbr)
+                        queue.append(nbr)
+        return seen
+    while queue:
+        node_id = queue.popleft()
+        for rel in graph.out_relationships(node_id, CALL):
+            if rel.end_id not in seen:
+                seen.add(rel.end_id)
+                queue.append(rel.end_id)
+        if not follow_alias:
+            continue
+        for rel in graph.out_relationships(node_id, ALIAS):
+            if rel.end_id not in seen:
+                seen.add(rel.end_id)
+                queue.append(rel.end_id)
+        for rel in graph.in_relationships(node_id, ALIAS):
+            if rel.start_id not in seen:
+                seen.add(rel.start_id)
+                queue.append(rel.start_id)
+    return seen
 
 
 @dataclass
@@ -86,9 +141,9 @@ class SearchStatistics:
     The expander/evaluator split mirrors the Figure 6 annotations: edges
     the Expander rejects carry an uncontrollable Polluted_Position for
     the required Trigger_Condition; paths the Evaluator prunes exceeded
-    the depth limit.  The remaining counters instrument the optimized
-    engine; they are diagnostics only — the chain set never depends on
-    them.
+    the depth limit.  The remaining counters instrument the pruning and
+    caching layers; they are diagnostics only — the chain set never
+    depends on them.
     """
 
     sinks_searched: int = 0
@@ -104,7 +159,7 @@ class SearchStatistics:
     filtered_sources: int = 0
     #: expansions refused because the target can never reach a source
     reachability_pruned: int = 0
-    #: size of the source-reachability over-approximation (0 = pruning off)
+    #: size of the source-reachability over-approximation
     reachable_nodes: int = 0
     #: dominated re-visits skipped via recorded empty subtrees
     negative_cache_hits: int = 0
@@ -154,6 +209,40 @@ def _prefix_filter(prefix: Optional[str]) -> AcceptFilter:
     return lambda node: str(node.get("CLASSNAME", "?")).startswith(prefix)
 
 
+class _Visit:
+    """An open frame of the search DFS: a visited path whose children
+    are being expanded.
+
+    ``children`` is the Expander's lazy ``(relationship, node, TC)``
+    stream.  ``found`` and ``complete`` say whether the subtree has so
+    far contained an accepted path and been explored exhaustively — the
+    condition for caching its emptiness under ``key`` with ``remaining``
+    depth left (``key`` is ``None`` under ``NODE_GLOBAL``).
+    """
+
+    __slots__ = ("path", "children", "found", "complete", "key", "remaining")
+
+    def __init__(
+        self,
+        path: Path,
+        children: Iterator,
+        found: bool,
+        key: Optional[tuple],
+        remaining: int,
+    ):
+        self.path = path
+        self.children = children
+        self.found = found
+        self.complete = True
+        self.key = key
+        self.remaining = remaining
+
+    def absorb(self, found: bool, complete: bool) -> None:
+        """Fold in the outcome of a child's finished subtree."""
+        self.found = self.found or found
+        self.complete = self.complete and complete
+
+
 class GadgetChainFinder:
     """Configurable backward search for gadget chains over a CPG."""
 
@@ -164,9 +253,6 @@ class GadgetChainFinder:
         max_results_per_sink: Optional[int] = 200,
         follow_alias: bool = True,
         uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH,
-        optimize: bool = True,
-        prune_unreachable: Optional[bool] = None,
-        negative_cache: Optional[bool] = None,
         workers: int = 1,
         skip_rta_dead: bool = False,
     ):
@@ -182,12 +268,6 @@ class GadgetChainFinder:
         #: ablation hook: without alias edges polymorphic chains vanish
         self.follow_alias = follow_alias
         self.uniqueness = uniqueness
-        #: master switch for the optimized engine; ``False`` restores the
-        #: pre-optimization baseline (generic traverse, no pruning)
-        self.optimize = optimize
-        #: individual layer toggles; ``None`` follows :attr:`optimize`
-        self.prune_unreachable = optimize if prune_unreachable is None else prune_unreachable
-        self.negative_cache = optimize if negative_cache is None else negative_cache
         #: skip CALL/ALIAS edges carrying the ``RTA_DEAD`` annotation
         #: written by :func:`repro.analysis.rta.annotate_type_reachability`
         #: (no-op on an unannotated CPG); differential-tested equivalent
@@ -196,7 +276,8 @@ class GadgetChainFinder:
         #: diagnostics from the most recent find_chains() run
         self.last_search_stats = SearchStatistics()
         self._accept: AcceptFilter = None
-        self._reachable: Optional[Set[int]] = None
+        #: the source-reachable node ids of the current search
+        self._reachable: Set[int] = set()
 
     # -- Algorithm 2: Expander -------------------------------------------
 
@@ -219,7 +300,7 @@ class GadgetChainFinder:
             if tc_next is None:
                 stats.call_edges_rejected += 1
                 continue  # ∃x ∈ TC_next, x = ∞ -> reject (Algorithm 2)
-            if reachable is not None and rel.start_id not in reachable:
+            if rel.start_id not in reachable:
                 stats.reachability_pruned += 1
                 continue
             stats.call_edges_followed += 1
@@ -240,7 +321,7 @@ class GadgetChainFinder:
             if self.skip_rta_dead and rel.get(RTA_DEAD):
                 stats.rta_pruned += 1
                 continue
-            if reachable is not None and rel.end_id not in reachable:
+            if rel.end_id not in reachable:
                 stats.reachability_pruned += 1
                 continue
             stats.alias_hops += 1
@@ -249,7 +330,7 @@ class GadgetChainFinder:
             if self.skip_rta_dead and rel.get(RTA_DEAD):
                 stats.rta_pruned += 1
                 continue
-            if reachable is not None and rel.start_id not in reachable:
+            if rel.start_id not in reachable:
                 stats.reachability_pruned += 1
                 continue
             stats.alias_hops += 1
@@ -279,73 +360,19 @@ class GadgetChainFinder:
         stats.depth_pruned += 1
         return Evaluation.EXCLUDE_AND_PRUNE
 
-    # -- source-reachability precomputation ---------------------------------
-
-    def _compute_source_reachable(self, graph: PropertyGraph) -> Set[int]:
-        """Nodes from which the *backward* search can still reach a
-        source, over-approximated TC-agnostically.
-
-        A backward step goes callee -> caller over an incoming CALL edge
-        (or across ALIAS either way), so its reversal follows CALL edges
-        forward; a BFS from every source along caller->callee CALL edges
-        plus undirected ALIAS edges therefore covers every node with
-        *any* step sequence to a source, ignoring PP rejections, depth,
-        and the consecutive-ALIAS rule.  Complement membership is
-        closed under backward steps, which makes refusing those
-        expansions sound for every Uniqueness mode.
-        """
-        seen: Set[int] = set()
-        queue: deque = deque()
-        for node in self.cpg.source_nodes():
-            if node.id not in seen:
-                seen.add(node.id)
-                queue.append(node.id)
-        follow_alias = self.follow_alias
-        csr = getattr(graph, "csr_neighbors", None)
-        if csr is not None:
-            # array-backed snapshot view (ArrayGraph): identical BFS over
-            # the typed CSR neighbour arrays — same visited set, but no
-            # Relationship objects allocated along the sweep
-            hops = [csr(CALL, False)]
-            if follow_alias:
-                hops.append(csr(ALIAS, False))
-                hops.append(csr(ALIAS, True))
-            while queue:
-                node_id = queue.popleft()
-                for indptr, neighbours in hops:
-                    for nbr in neighbours[indptr[node_id] : indptr[node_id + 1]]:
-                        if nbr not in seen:
-                            seen.add(nbr)
-                            queue.append(nbr)
-            return seen
-        while queue:
-            node_id = queue.popleft()
-            for rel in graph.out_relationships(node_id, CALL):
-                if rel.end_id not in seen:
-                    seen.add(rel.end_id)
-                    queue.append(rel.end_id)
-            if not follow_alias:
-                continue
-            for rel in graph.out_relationships(node_id, ALIAS):
-                if rel.end_id not in seen:
-                    seen.add(rel.end_id)
-                    queue.append(rel.end_id)
-            for rel in graph.in_relationships(node_id, ALIAS):
-                if rel.start_id not in seen:
-                    seen.add(rel.start_id)
-                    queue.append(rel.start_id)
-        return seen
-
-    # -- the optimized DFS engine -------------------------------------------
-
-    def _use_dfs_engine(self) -> bool:
-        return self.optimize and self.max_depth <= _MAX_RECURSIVE_DEPTH
+    # -- the search engine ---------------------------------------------------
 
     def _search_sink(
         self, graph: PropertyGraph, sink: Node, tc0: List[int]
     ) -> List[Tuple[Path, List[int]]]:
-        """Preorder DFS identical to :func:`traverse` over this finder's
-        expander/evaluator, plus sound negative state caching.
+        """Preorder DFS over this finder's Expander and Evaluator, with
+        sound negative state caching.
+
+        The DFS keeps one :class:`_Visit` frame per open path on an
+        explicit stack, so its depth is not bounded by the interpreter's
+        recursion limit.  Each frame pulls its children lazily from the
+        Expander, one at a time, and the walk visits, includes and
+        truncates at ``max_results`` in the generic traversal's order.
 
         A state ``(node, TC-set, remaining-depth)`` is recorded as a
         proven failure only when its expansion subtree was explored to
@@ -355,66 +382,96 @@ class GadgetChainFinder:
         remove branches — and for any remaining budget ≤ the recorded
         one, so dominated re-visits are skipped without losing a single
         chain.  The TC key is the position *set*: Formula 4 acceptance
-        and the downstream TC depend only on set membership.
+        and the downstream TC depend only on set membership.  The key
+        also records whether the path arrived over ALIAS, because the
+        Expander follows no ALIAS edge right after one: that subtree is
+        the other one minus its ALIAS expansions, so a failure proven
+        for the other covers it, but not the reverse.
         """
+        max_depth = self.max_depth
         max_results = self.max_results_per_sink
         uniqueness = self.uniqueness
-        use_cache = self.negative_cache and uniqueness is not Uniqueness.NODE_GLOBAL
-        negcache: Dict[Tuple[int, frozenset], int] = {}
+        node_global = uniqueness is Uniqueness.NODE_GLOBAL
+        node_path = uniqueness is Uniqueness.NODE_PATH
+        rel_path = uniqueness is Uniqueness.RELATIONSHIP_PATH
+        expander = self._expander
+        evaluator = self._evaluator
+        stats = self.last_search_stats
+        negcache: Dict[Tuple[int, frozenset, bool], int] = {}
         visited_global: Set[int] = set()
         results: List[Tuple[Path, List[int]]] = []
-        stats = self.last_search_stats
-        stop = False
-
-        def visit(path: Path, tc: List[int]) -> Tuple[bool, bool]:
-            """Returns ``(found_any, complete)`` — whether the subtree
-            contained an accepted path, and whether it was explored
-            exhaustively (a prerequisite for caching its emptiness)."""
-            nonlocal stop
+        stack: List[_Visit] = []
+        path, tc = Path.single(sink), list(tc0)
+        while True:
+            # -- visit ``path``: evaluate it, then open a frame for its
+            # children unless the visit ends here
+            opened = False
             end = path.end_node
-            if uniqueness is Uniqueness.NODE_GLOBAL:
-                if end.id in visited_global and path.length > 0:
-                    return False, False
-                visited_global.add(end.id)
-            verdict = self._evaluator(graph, path, tc)
-            found = False
-            if verdict.includes:
-                results.append((path, tc))
-                found = True
-                if max_results is not None and len(results) >= max_results:
-                    stop = True
-                    return True, False
-            if not verdict.continues:
+            if node_global and path.length > 0 and end.id in visited_global:
+                found, complete = False, False
+            else:
+                if node_global:
+                    visited_global.add(end.id)
+                verdict = evaluator(graph, path, tc)
+                found = verdict.includes
+                if found:
+                    results.append((path, tc))
+                    if max_results is not None and len(results) >= max_results:
+                        return results
                 # the evaluator's cut depends only on (node, depth, TC):
-                # prefix-independent, so the subtree counts as complete
-                return found, True
-            key = (end.id, frozenset(tc)) if use_cache else None
-            remaining = self.max_depth - path.length
-            if key is not None:
-                proven_budget = negcache.get(key)
-                if proven_budget is not None and proven_budget >= remaining:
-                    stats.negative_cache_hits += 1
-                    return found, True
-            complete = True
-            for rel, node, next_tc in self._expander(graph, path, tc):
-                if uniqueness is Uniqueness.NODE_PATH and path.contains_node(node):
-                    complete = False
+                # prefix-independent, so a pruned subtree counts as complete
+                complete = True
+                if verdict.continues:
+                    remaining = max_depth - path.length
+                    key = None
+                    proven_budget = 0  # no record: never >= remaining
+                    if not node_global:
+                        last = path.last_relationship
+                        after_alias = last is not None and last.type == ALIAS
+                        tc_set = frozenset(tc)
+                        key = (end.id, tc_set, after_alias)
+                        proven_budget = negcache.get(key, 0)
+                        if after_alias:
+                            # the subtree after an ALIAS hop lacks only the
+                            # ALIAS expansions: a failure proven with them
+                            # covers it too
+                            proven_budget = max(
+                                proven_budget, negcache.get((end.id, tc_set, False), 0)
+                            )
+                    if proven_budget >= remaining:
+                        stats.negative_cache_hits += 1
+                    else:
+                        children = expander(graph, path, tc)
+                        stack.append(_Visit(path, children, found, key, remaining))
+                        opened = True
+            if not opened:
+                if not stack:
+                    return results
+                stack[-1].absorb(found, complete)
+            # -- find the next child of the innermost open frame, closing
+            # (and folding into their parents) the frames it exhausts
+            while True:
+                frame = stack[-1]
+                parent = frame.path
+                for rel, node, next_tc in frame.children:
+                    if node_path and parent.contains_node(node):
+                        frame.complete = False
+                        continue
+                    if rel_path and parent.contains_relationship(rel):
+                        frame.complete = False
+                        continue
+                    path, tc = parent.extend(rel, node), next_tc
+                    break
+                else:
+                    stack.pop()
+                    if frame.key is not None and frame.complete and not frame.found:
+                        negcache[frame.key] = frame.remaining
+                        stats.negative_cache_entries += 1
+                    if not stack:
+                        return results
+                    stack[-1].absorb(frame.found, frame.complete)
                     continue
-                if uniqueness is Uniqueness.RELATIONSHIP_PATH and path.contains_relationship(rel):
-                    complete = False
-                    continue
-                child_found, child_complete = visit(path.extend(rel, node), next_tc)
-                found = found or child_found
-                complete = complete and child_complete
-                if stop:
-                    return found, False
-            if key is not None and complete and not found:
-                negcache[key] = remaining
-                stats.negative_cache_entries += 1
-            return found, complete
-
-        visit(Path.single(sink), list(tc0))
-        return results
+                break
 
     # -- public API -----------------------------------------------------------
 
@@ -499,12 +556,12 @@ class GadgetChainFinder:
         chain lists come back in sink order, pre-dedupe."""
         graph = self.cpg.graph
         self._accept = accept
-        self._reachable = None
-        if self.prune_unreachable:
-            t0 = time.perf_counter()
-            self._reachable = self._compute_source_reachable(graph)
-            stats.reachable_nodes = len(self._reachable)
-            stats.phase_seconds["reachability"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        self._reachable = forward_closure(
+            graph, (node.id for node in self.cpg.source_nodes()), self.follow_alias
+        )
+        stats.reachable_nodes = len(self._reachable)
+        stats.phase_seconds["reachability"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         per_sink = [self._chains_for_sink(graph, sink) for sink in sinks]
         stats.phase_seconds["search"] = time.perf_counter() - t0
@@ -513,19 +570,10 @@ class GadgetChainFinder:
     def _chains_for_sink(self, graph: PropertyGraph, sink: Node) -> List[GadgetChain]:
         """All accepted chains of one sink, in enumeration order."""
         tc = list(sink.get("TRIGGER_CONDITION") or [0])
-        if self._use_dfs_engine():
-            found: Any = self._search_sink(graph, sink, tc)
-        else:
-            found = traverse(
-                graph,
-                sink,
-                self._expander,
-                self._evaluator,
-                initial_state=tc,
-                uniqueness=self.uniqueness,
-                max_results=self.max_results_per_sink,
-            )
-        return [self._path_to_chain(path, sink) for path, _state in found]
+        return [
+            self._path_to_chain(path, sink)
+            for path, _tc in self._search_sink(graph, sink, tc)
+        ]
 
     # -- helpers ------------------------------------------------------------------
 

@@ -5,8 +5,9 @@
 * :mod:`repro.graphdb.query` — Cypher-subset query language
 * :mod:`repro.graphdb.plan` — cost-based query planner + optimized
   executor (EXPLAIN/PROFILE)
-* :mod:`repro.graphdb.traversal` — expander/evaluator traversal
-  framework (the *tabby-path-finder* substrate)
+* :mod:`repro.graphdb.traversal` — path, evaluation and uniqueness
+  vocabulary of the gadget-chain search (the *tabby-path-finder*
+  substrate)
 * :mod:`repro.graphdb.storage` — persistence front end (v3 binary and
   v1 JSON, auto-detected on read)
 * :mod:`repro.graphdb.snapshot_v3` — the v3 zero-copy snapshot codec
@@ -27,14 +28,7 @@ from repro.graphdb.query import QueryResult, run_query
 from repro.graphdb.snapshot import fingerprint_digest, graph_fingerprint
 from repro.graphdb.storage import load_graph, save_graph
 from repro.graphdb.wal import WriteAheadLog
-from repro.graphdb.traversal import (
-    Direction,
-    Evaluation,
-    Path,
-    Uniqueness,
-    traverse,
-    type_expander,
-)
+from repro.graphdb.traversal import Evaluation, Path, Uniqueness
 
 __all__ = [
     "PropertyGraph",
@@ -55,7 +49,4 @@ __all__ = [
     "Path",
     "Evaluation",
     "Uniqueness",
-    "Direction",
-    "traverse",
-    "type_expander",
 ]

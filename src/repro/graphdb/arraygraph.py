@@ -31,8 +31,8 @@ Design constraints, in order:
   the index manager builds on first ``.indexes`` access.
 * **Object protocol compatibility.**  :class:`ArrayNode` and
   :class:`ArrayRelationship` subclass ``Node``/``Relationship`` —
-  ``traverse`` type-checks its start node and path equality compares
-  via ``isinstance`` — but are flyweights: one graph pointer plus the
+  the query binder and the graph's id-or-node arguments type-check
+  with ``isinstance`` — but are flyweights: one graph pointer plus the
   identity fields, with ``labels``/``properties`` served as descriptors
   from the columns.
 

@@ -25,7 +25,13 @@ def graph_fingerprint(graph: PropertyGraph) -> Dict[str, Any]:
     type counts, and the id counters.  Two graphs with equal
     fingerprints are interchangeable for every query, traversal and
     chain search.
+
+    A zero-copy snapshot view (:class:`~repro.graphdb.arraygraph.ArrayGraph`)
+    is fingerprinted as the graph it decodes to, so a view and the
+    decoded graph of the same file have equal fingerprints.
     """
+    if not isinstance(graph, PropertyGraph):
+        graph = graph.materialize()
     indexes = graph.indexes
     return {
         "nodes": [

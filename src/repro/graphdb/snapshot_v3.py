@@ -3,7 +3,7 @@
 The binary snapshot format of :mod:`repro.graphdb.storage`, next to the
 v1 JSON text format.  Decoding a dict-of-objects graph on every open
 costs O(graph) per process and gives every process a private copy, so
-the file is laid out for a reader to ``mmap`` it and traverse in place —
+the file is laid out for a reader to ``mmap`` it and walk it in place —
 
 * a fixed-size header (the ``TABBYCPG`` magic, version 3) plus a
   section *table* of ``(tag, offset, length)`` entries, protected by a

@@ -5,7 +5,7 @@ Two on-disk formats, one per purpose, one read path:
 * **v3** — the page-structured zero-copy snapshot of
   :mod:`repro.graphdb.snapshot_v3`: fixed-width little-endian columns,
   precomputed CSR adjacency and a column directory, laid out so a
-  reader can ``mmap`` the file and traverse in place.  The default for
+  reader can ``mmap`` the file and walk it in place.  The default for
   new saves; :func:`open_graph` opens it without decoding.
 * **v1 (json)** — a gzip/plain JSON document with ``nodes``,
   ``relationships`` and ``indexes`` sections: the readable interchange.

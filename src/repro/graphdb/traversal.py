@@ -1,41 +1,28 @@
-"""Guided graph traversal — the *tabby-path-finder* substrate.
+"""Path vocabulary of the guided search — the *tabby-path-finder* substrate.
 
 The paper implements gadget-chain search as a Neo4j traversal plugin
 built from two callbacks: an **Expander** that decides which
 relationships extend the current path (carrying per-path state, the
 Trigger_Condition), and an **Evaluator** that decides whether a path is
-a result and whether expansion continues (Algorithms 2 and 3).  This
-module reproduces that framework over :class:`PropertyGraph`.
+a result and whether expansion continues (Algorithms 2 and 3).  Both
+are methods of :class:`repro.core.pathfinder.GadgetChainFinder`, whose
+DFS drives them.  This module holds what they share: the persistent
+:class:`Path`, the Neo4j-style :class:`Evaluation` verdicts, and the
+:class:`Uniqueness` rules that constrain revisits.
 
-An expander is ``expand(graph, path, state) -> iterable of
-(relationship, next_node, next_state)``; an evaluator is
-``evaluate(graph, path, state) -> Evaluation``.
+The generic expander/evaluator enumeration this vocabulary came from is
+the reference engine in ``tests/oracles/search.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
-from repro.graphdb.graph import Node, PropertyGraph, Relationship
+from repro.graphdb.graph import Node, Relationship
 
-__all__ = [
-    "Path",
-    "Evaluation",
-    "Uniqueness",
-    "Direction",
-    "traverse",
-    "type_expander",
-]
-
-
-class Direction(enum.Enum):
-    """Traversal direction relative to the current node."""
-
-    OUTGOING = "outgoing"
-    INCOMING = "incoming"
-    BOTH = "both"
+__all__ = ["Path", "Evaluation", "Uniqueness"]
 
 
 class Path:
@@ -197,101 +184,3 @@ class Uniqueness(enum.Enum):
     NODE_GLOBAL = "node_global"
     #: no constraint (bounded only by the evaluator's depth check)
     NONE = "none"
-
-
-Expander = Callable[
-    [PropertyGraph, Path, Any], Iterable[Tuple[Relationship, Node, Any]]
-]
-Evaluator = Callable[[PropertyGraph, Path, Any], Evaluation]
-
-
-def type_expander(
-    types: Optional[Sequence[str]] = None,
-    direction: Direction = Direction.OUTGOING,
-) -> Expander:
-    """A plain expander following relationships of the given types.
-
-    State is passed through unchanged; use a custom expander (like the
-    gadget-chain Expander of Algorithm 2) when state must evolve.
-
-    Wanted types are resolved through the graph's type-bucketed
-    adjacency index (a dict hit per type) instead of filtering every
-    incident relationship in Python.  Relationship ids increase in
-    insertion order, so merging buckets by id reproduces the exact
-    order a filtered scan of the flat adjacency list used to yield.
-    """
-
-    wanted = list(dict.fromkeys(types)) if types is not None else None
-
-    def typed(getter, node: Node) -> List[Relationship]:
-        if wanted is None:
-            return getter(node)
-        if len(wanted) == 1:
-            return getter(node, wanted[0])
-        rels: List[Relationship] = []
-        for rel_type in wanted:
-            rels.extend(getter(node, rel_type))
-        rels.sort(key=lambda r: r.id)
-        return rels
-
-    def expand(
-        graph: PropertyGraph, path: Path, state: Any
-    ) -> Iterable[Tuple[Relationship, Node, Any]]:
-        node = path.end_node
-        rels: List[Relationship] = []
-        if direction in (Direction.OUTGOING, Direction.BOTH):
-            rels.extend(typed(graph.out_relationships, node))
-        if direction in (Direction.INCOMING, Direction.BOTH):
-            rels.extend(typed(graph.in_relationships, node))
-        for rel in rels:
-            yield rel, graph.node(rel.other_id(node.id)), state
-
-    return expand
-
-
-def traverse(
-    graph: PropertyGraph,
-    start: "Node | Sequence[Node]",
-    expander: Expander,
-    evaluator: Evaluator,
-    initial_state: Any = None,
-    uniqueness: Uniqueness = Uniqueness.NODE_PATH,
-    max_results: Optional[int] = None,
-) -> Iterator[Tuple[Path, Any]]:
-    """Depth-first guided traversal.
-
-    Yields ``(path, state)`` pairs the evaluator marked as included.
-    The evaluator is consulted for every visited path (including the
-    single-node start paths); the expander is only asked to expand paths
-    the evaluator allowed to continue.
-    """
-    starts: List[Node] = [start] if isinstance(start, Node) else list(start)
-    visited_global: Set[int] = set()
-    yielded = 0
-
-    stack: List[Tuple[Path, Any]] = []
-    for node in reversed(starts):
-        stack.append((Path.single(node), initial_state))
-
-    while stack:
-        path, state = stack.pop()
-        end = path.end_node
-        if uniqueness is Uniqueness.NODE_GLOBAL:
-            if end.id in visited_global and path.length > 0:
-                continue
-            visited_global.add(end.id)
-        verdict = evaluator(graph, path, state)
-        if verdict.includes:
-            yield path, state
-            yielded += 1
-            if max_results is not None and yielded >= max_results:
-                return
-        if not verdict.continues:
-            continue
-        expansions = list(expander(graph, path, state))
-        for rel, node, next_state in reversed(expansions):
-            if uniqueness is Uniqueness.NODE_PATH and path.contains_node(node):
-                continue
-            if uniqueness is Uniqueness.RELATIONSHIP_PATH and path.contains_relationship(rel):
-                continue
-            stack.append((path.extend(rel, node), next_state))

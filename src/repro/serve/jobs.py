@@ -291,7 +291,7 @@ class LiveGraph:
     snapshot file at startup and published as version 0 of a
     :class:`~repro.graphdb.mvcc.VersionedGraph`.  Every ``live`` job
     pins an immutable committed version with one atomic read at
-    submission time — N concurrent jobs traverse the same physical
+    submission time — N concurrent jobs walk the same physical
     structure with no lock and no per-job reopen — while
     :meth:`refresh` (the snapshot file changed on disk, e.g. an
     incremental-analysis writer saved a new version) commits the new
@@ -806,7 +806,7 @@ class JobManager:
         """Search a persisted CPG opened zero-copy from the snapshot dir.
 
         A v3 snapshot is mmap'd in place — N concurrent snapshot jobs
-        over the same file traverse one physical copy — while a v1 JSON
+        over the same file walk one physical copy — while a v1 JSON
         file decodes per job.  A file with a retired or unknown snapshot
         version fails the job with the storage error that names the
         remedy.  The opened graph is additionally cached per file

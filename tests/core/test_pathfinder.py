@@ -1,5 +1,7 @@
 """Unit tests for the gadget-chain finder, including the Figure 6 example."""
 
+import sys
+
 import pytest
 
 from repro.core.chains import ChainStep, GadgetChain
@@ -8,11 +10,18 @@ from repro.core.pathfinder import GadgetChainFinder
 from repro.errors import PathFinderError
 from repro.graphdb.graph import PropertyGraph
 from repro.jvm.hierarchy import ClassHierarchy
+from tests.oracles.search import BaselineFinder
 
 
 def hand_built_cpg(graph):
     """Wrap a hand-assembled graph in a CPG (hierarchy unused here)."""
     return CPG(graph, ClassHierarchy([]), CPGStatistics(), {})
+
+
+def make_finder(cpg, optimized, **kwargs):
+    """The product's finder, or with ``optimized=False`` the reference
+    engine: the same Expander and Evaluator, unpruned and uncached."""
+    return (GadgetChainFinder if optimized else BaselineFinder)(cpg, **kwargs)
 
 
 def method_node(graph, name, cls="g", source=False, sink=False, tc=None):
@@ -301,7 +310,7 @@ class TestSearchStatistics:
 
 class TestExactCounters:
     """Exact SearchStatistics values on hand-built mini-CPGs, pinned on
-    both engines so the optimized rewrite cannot drift unnoticed."""
+    the product and the reference engine so neither drifts unnoticed."""
 
     def counter_graph(self):
         g = PropertyGraph()
@@ -316,10 +325,9 @@ class TestExactCounters:
         alias(g, e2, a)
         return g
 
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_fig6_counters_exact(self, optimize):
-        finder = GadgetChainFinder(hand_built_cpg(self.counter_graph()),
-                                   optimize=optimize)
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_fig6_counters_exact(self, optimized):
+        finder = make_finder(hand_built_cpg(self.counter_graph()), optimized)
         chains = finder.find_chains()
         stats = finder.last_search_stats
         assert [c.key for c in chains] == [(("g", "readObject", 0),
@@ -334,7 +342,7 @@ class TestExactCounters:
         assert stats.depth_pruned == 0
         assert stats.filtered_sources == 0
         assert stats.chains_found == 1
-        if optimize:
+        if optimized:
             # everything in this graph is source-reachable: the decoy
             # edge dies on its Polluted_Position before the prune check
             assert stats.reachability_pruned == 0
@@ -343,8 +351,8 @@ class TestExactCounters:
             # the dead alias-override subtree is recorded as empty
             assert stats.negative_cache_entries == 1
 
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_depth_pruned_exact(self, optimize):
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_depth_pruned_exact(self, optimized):
         g = PropertyGraph()
         sink = method_node(g, "exec", sink=True, tc=[0])
         prev = sink
@@ -353,8 +361,7 @@ class TestExactCounters:
             call(g, n, prev, [0])
             prev = n
         call(g, method_node(g, "readObject", source=True), prev, [0])
-        finder = GadgetChainFinder(hand_built_cpg(g), max_depth=2,
-                                   optimize=optimize)
+        finder = make_finder(hand_built_cpg(g), optimized, max_depth=2)
         assert finder.find_chains() == []
         stats = finder.last_search_stats
         # visits: (exec), (exec,hop0), (exec,hop0,hop1) — the third hits
@@ -379,8 +386,8 @@ class TestExactCounters:
             prev = n
         src = method_node(g, "readObject", source=True)
         call(g, src, sink, [0])
-        baseline = GadgetChainFinder(hand_built_cpg(g), optimize=False)
-        optimized = GadgetChainFinder(hand_built_cpg(g), optimize=True)
+        baseline = BaselineFinder(hand_built_cpg(g))
+        optimized = GadgetChainFinder(hand_built_cpg(g))
         assert ([c.key for c in baseline.find_chains()]
                 == [c.key for c in optimized.find_chains()])
         assert optimized.last_search_stats.reachability_pruned == 1
@@ -403,11 +410,11 @@ class TestExactCounters:
         call(g, x, a, [0])
         call(g, x, b, [0])
         call(g, y, x, [0])
-        # no sources at all: disable the reachability prune to exercise
-        # the cache in isolation
-        finder = GadgetChainFinder(
-            hand_built_cpg(g), optimize=True, prune_unreachable=False
-        )
+        # a source above the dead subtree, behind an uncontrollable PP:
+        # every node stays source-reachable, so the reachability prune
+        # refuses nothing and the cache works alone
+        call(g, method_node(g, "readObject", source=True), y, [-1])
+        finder = GadgetChainFinder(hand_built_cpg(g))
         assert finder.find_chains() == []
         stats = finder.last_search_stats
         # visits: (exec), (a), (x), (y), (b), (x: cache hit) -> 6
@@ -415,9 +422,67 @@ class TestExactCounters:
         assert stats.negative_cache_hits == 1
         # empty states recorded: y, x, a, b, and the sink itself
         assert stats.negative_cache_entries == 5
-        baseline = GadgetChainFinder(hand_built_cpg(g), optimize=False)
+        assert stats.reachability_pruned == 0
+        baseline = BaselineFinder(hand_built_cpg(g))
         assert baseline.find_chains() == []
         assert baseline.last_search_stats.paths_visited == 7
+
+    def test_failure_after_alias_hop_does_not_answer_call_visit(self):
+        """A subtree reached over ALIAS lacks the ALIAS expansions (no two
+        ALIAS hops in a row), so its recorded failure must not answer a
+        visit of the same state reached over CALL."""
+        g = PropertyGraph()
+        sink = method_node(g, "exec", sink=True, tc=[0])
+        a = method_node(g, "a")
+        b = method_node(g, "b")
+        x = method_node(g, "x")
+        z = method_node(g, "z")
+        src = method_node(g, "readObject", source=True)
+        call(g, a, sink, [0])  # searched first: exec <- a ~ x
+        call(g, b, sink, [0])  # then exec <- b <- x ~ z <- readObject
+        alias(g, x, a)
+        call(g, x, b, [0])
+        alias(g, z, x)
+        call(g, src, z, [0])
+        keys = [c.key for c in GadgetChainFinder(hand_built_cpg(g)).find_chains()]
+        oracle = [c.key for c in BaselineFinder(hand_built_cpg(g)).find_chains()]
+        assert keys == oracle == [(("g", "readObject", 0), ("g", "z", 0),
+                                   ("g", "x", 0), ("g", "b", 0),
+                                   ("g", "exec", 0))]
+
+
+class TestDeepChains:
+    """The DFS keeps its frames on an explicit stack, so search depth is
+    bounded by memory, not by the interpreter's recursion limit."""
+
+    def deep_chain_cpg(self, hops):
+        g = PropertyGraph()
+        prev = method_node(g, "exec", sink=True, tc=[0])
+        for i in range(hops - 1):
+            node = method_node(g, f"hop{i}")
+            call(g, node, prev, [0])
+            prev = node
+        call(g, method_node(g, "readObject", source=True), prev, [0])
+        return hand_built_cpg(g)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        cpg = self.deep_chain_cpg(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            chains = GadgetChainFinder(cpg, max_depth=310).find_chains()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(chains) == 1
+        assert len(chains[0].steps) == 301
+        assert chains[0].source.method_name == "readObject"
+
+    def test_chain_beyond_a_default_stack_matches_oracle(self):
+        cpg = self.deep_chain_cpg(2100)
+        chains = GadgetChainFinder(cpg, max_depth=2110).find_chains()
+        oracle = BaselineFinder(cpg, max_depth=2110).find_chains()
+        assert [c.key for c in chains] == [c.key for c in oracle]
+        assert len(chains) == 1 and len(chains[0].steps) == 2101
 
 
 class TestSourceFilterBudget:
@@ -436,23 +501,22 @@ class TestSourceFilterBudget:
         call(g, wanted, sink, [0])
         return g
 
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_wanted_chain_survives_budget_of_one(self, optimize):
-        finder = GadgetChainFinder(
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_wanted_chain_survives_budget_of_one(self, optimized):
+        finder = make_finder(
             hand_built_cpg(self.two_source_graph()),
+            optimized,
             max_results_per_sink=1,
-            optimize=optimize,
         )
         chains = finder.find_chains(source_filter="org.good")
         assert [c.source.class_name for c in chains] == ["org.good.W"]
         assert finder.last_search_stats.filtered_sources == 1
 
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_find_between_respects_budget(self, optimize):
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_find_between_respects_budget(self, optimized):
         g = self.two_source_graph()
         cpg = hand_built_cpg(g)
-        finder = GadgetChainFinder(cpg, max_results_per_sink=1,
-                                   optimize=optimize)
+        finder = make_finder(cpg, optimized, max_results_per_sink=1)
         sink = g.find_node("Method", NAME="exec")
         wanted = g.find_node("Method", CLASSNAME="org.good.W")
         chains = finder.find_between(wanted, sink)

@@ -29,7 +29,7 @@ from repro.errors import GraphError, StorageError
 from repro.graphdb.arraygraph import ArrayGraph
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query import run_query
-from repro.graphdb.snapshot import graph_fingerprint
+from repro.graphdb.snapshot import fingerprint_digest, graph_fingerprint
 from repro.graphdb.snapshot_v3 import (
     SNAPSHOT_MAGIC,
     decode_snapshot_v3,
@@ -333,6 +333,15 @@ class TestArrayGraphParity:
     def test_materialize_fingerprint(self, pair):
         g, view = pair
         assert graph_fingerprint(view.materialize()) == graph_fingerprint(g)
+
+    def test_view_fingerprints_as_the_decoded_graph(self, v3_path):
+        """A zero-copy view is fingerprinted as the graph it decodes to."""
+        view = open_graph(v3_path)
+        try:
+            assert isinstance(view, ArrayGraph)
+            assert fingerprint_digest(view) == fingerprint_digest(load_graph(v3_path))
+        finally:
+            view.close()
 
     def test_query_rows_identical(self, corpus_cpg, v3_path):
         view = open_graph(v3_path)

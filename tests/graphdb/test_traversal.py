@@ -1,17 +1,16 @@
-"""Unit tests for the expander/evaluator traversal framework."""
+"""Unit tests for the expander/evaluator traversal framework.
+
+:class:`Path`, :class:`Evaluation` and :class:`Uniqueness` are the
+product's; the generic :func:`traverse` and its :func:`type_expander`
+are the reference engine in ``tests/oracles/search.py``.
+"""
 
 import pytest
 
 from repro.errors import GraphError
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.traversal import (
-    Direction,
-    Evaluation,
-    Path,
-    Uniqueness,
-    traverse,
-    type_expander,
-)
+from repro.graphdb.traversal import Evaluation, Path, Uniqueness
+from tests.oracles.search import Direction, traverse, type_expander
 
 
 def chain_graph(n=4, rel="CALL"):

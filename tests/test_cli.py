@@ -2,6 +2,8 @@
 
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 
@@ -130,6 +132,14 @@ class TestChains:
         assert main(["chains", jar_dir, "--sources", "native"]) == 0
         out = capsys.readouterr().out
         assert "1 gadget chain(s) found" in out
+
+
+    def test_baseline_search_flag_is_a_usage_error(self, jar_dir, capsys):
+        """One search engine: the baseline is a test oracle, not a flag."""
+        with pytest.raises(SystemExit) as info:
+            main(["chains", jar_dir, "--baseline-search"])
+        assert info.value.code == 2
+        assert "--baseline-search" in capsys.readouterr().err
 
 
 class TestSnapshotFormats:
@@ -482,6 +492,50 @@ class TestServeValidation:
         # the limiter refuses it and serve exits 2 before binding
         assert main(["serve", "--rate", "5", "--burst", "0.5"]) == 2
         assert "burst" in capsys.readouterr().err
+
+
+class TestServeSignals:
+    """tabby serve drains and exits 0 on SIGTERM, and on SIGINT even
+    when it was started with SIGINT ignored (as a background job of a
+    non-interactive shell starts it)."""
+
+    def start_server(self, ignore_sigint):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "1"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            preexec_fn=(
+                (lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+                if ignore_sigint else None
+            ),
+        )
+        ready, _, _ = select.select([proc.stderr], [], [], 30)
+        line = proc.stderr.readline() if ready else ""
+        if "listening on" not in line:
+            proc.kill()
+            proc.wait()
+            pytest.fail(f"tabby serve did not start: {line!r}")
+        return proc
+
+    @pytest.mark.parametrize("signum, ignore_sigint", [
+        (signal.SIGTERM, False),
+        (signal.SIGINT, True),
+    ], ids=["sigterm", "sigint-ignored-at-start"])
+    def test_signal_drains_and_exits_zero(self, signum, ignore_sigint):
+        proc = self.start_server(ignore_sigint)
+        proc.send_signal(signum)
+        try:
+            _, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail("tabby serve kept running after the signal")
+        assert proc.returncode == 0, err
+        assert "shutting down: draining queued jobs" in err
 
 
 class TestBenchTables:
