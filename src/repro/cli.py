@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated refinement passes "
                       "(guards,rta,taint) over the appeared chains")
     diff.add_argument("--json", action="store_true",
-                      help="emit the versioned tabby-diff/v1 document")
+                      help="emit the versioned tabby-diff/v2 document")
 
     lint = sub.add_parser(
         "lint", help="dataflow-based lint over jasm classes or the corpus"
@@ -293,13 +293,9 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _sources(name: str) -> SourceCatalog:
-    return SourceCatalog.native() if name == "native" else SourceCatalog.extended()
-
-
 def _build_tabby(args: argparse.Namespace) -> Tabby:
     return Tabby(
-        sources=_sources(args.sources),
+        sources=SourceCatalog.named(args.sources),
         cache_dir=args.cache_dir,
         cache_max_mb=getattr(args, "cache_max_mb", None),
     ).load_classpath(args.classpath)
@@ -404,7 +400,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
             return 2
         tabby = Tabby.load_cpg(
             args.cpg,
-            sources=_sources(args.sources),
+            sources=SourceCatalog.named(args.sources),
             cache_dir=args.cache_dir,
         )
     else:
@@ -447,7 +443,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
     if args.verify:
         from repro.verify import ChainVerifier
 
-        verifier = ChainVerifier(classes, sources=_sources(args.sources))
+        verifier = ChainVerifier(classes, sources=SourceCatalog.named(args.sources))
     if args.payload:
         from repro.errors import VerificationError
         from repro.verify import PayloadSynthesizer
@@ -505,7 +501,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return classes
 
     tabby = Tabby(
-        sources=_sources(args.sources),
+        sources=SourceCatalog.named(args.sources),
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
     )

@@ -281,6 +281,16 @@ class Tabby:
         save_graph(self.build_cpg().graph, path, format=format)
 
     @classmethod
+    def from_graph(cls, graph, **kwargs) -> "Tabby":
+        """A searchable, queryable Tabby over a graph already in memory
+        (an opened snapshot, or a pinned MVCC version).  Like
+        :meth:`load_cpg`, which opens its graph through this, it carries
+        no class hierarchy."""
+        tabby = cls(**kwargs)
+        tabby._cpg = CPG.from_graph(graph)
+        return tabby
+
+    @classmethod
     def load_cpg(cls, path: str, mmap: bool = True, **kwargs) -> "Tabby":
         """Rebuild a queryable/searchable Tabby from a persisted CPG.
 
@@ -297,9 +307,9 @@ class Tabby:
         re-adding them via :meth:`add_classes`/:meth:`add_jar` (which
         discards the loaded CPG and rebuilds).
         """
-        tabby = cls(**kwargs)
-        tabby._cpg = CPG.from_graph(open_graph(path) if mmap else load_graph(path))
-        return tabby
+        return cls.from_graph(
+            open_graph(path) if mmap else load_graph(path), **kwargs
+        )
 
     def query(
         self,

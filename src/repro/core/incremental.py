@@ -98,8 +98,10 @@ __all__ = [
     "diff_to_dict",
 ]
 
-#: bump when the ``tabby diff`` JSON document shape changes
-DIFF_SCHEMA_VERSION = "tabby-diff/v1"
+#: bump when the ``tabby diff`` JSON document shape changes (v2: the
+#: ``incremental`` row lost its wall-clock ``total_seconds`` and
+#: ``phase_seconds``, so equal inputs give byte-identical documents)
+DIFF_SCHEMA_VERSION = "tabby-diff/v2"
 
 MethodKey = Tuple[str, str, int]
 
@@ -245,7 +247,9 @@ def apply_refinement_verdicts(
 
 
 def diff_to_dict(diff: ChainDiff) -> Dict[str, Any]:
-    """The versioned ``tabby diff`` JSON document."""
+    """The versioned ``tabby diff`` JSON document.  It is a function of
+    the two versions and the options alone: the update's wall-clock
+    timings stay in :attr:`ChainDiff.statistics` (``--profile``)."""
     appeared = [chain_record(c, with_key=True) for c in diff.appeared]
     if diff.appeared_verdicts is not None:
         for record, verdict in zip(appeared, diff.appeared_verdicts):
@@ -264,7 +268,10 @@ def diff_to_dict(diff: ChainDiff) -> Dict[str, Any]:
         },
     }
     if diff.statistics is not None:
-        document["incremental"] = diff.statistics.as_row()
+        document["incremental"] = {
+            key: value for key, value in diff.statistics.as_row().items()
+            if key not in ("total_seconds", "phase_seconds")
+        }
     return document
 
 

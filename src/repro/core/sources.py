@@ -60,6 +60,12 @@ class SourceCatalog:
     def extended(cls) -> "SourceCatalog":
         return cls(names=EXTENDED_SOURCE_NAMES)
 
+    @classmethod
+    def named(cls, name: str) -> "SourceCatalog":
+        """The catalog a ``--sources`` flag or serve ``options.sources``
+        value names: ``"native"``, else the extended one."""
+        return cls.native() if name == "native" else cls.extended()
+
     def with_names(self, extra: Iterable[str]) -> "SourceCatalog":
         return SourceCatalog(self.names | frozenset(extra), self.require_serializable)
 

@@ -57,6 +57,9 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 _GZIP_MAGIC = b"\x1f\x8b"
+#: inflated bytes a gzip file's format is checked on before the rest
+#: of it is inflated
+_PROBE_BYTES = 64 * 1024
 
 #: suffixes that keep emitting v1 JSON under the default "auto" format,
 #: so existing pipelines that name their snapshots *.json(.gz) stay
@@ -197,8 +200,29 @@ def _read(path: str, fh, size: int = -1) -> bytes:
 
 
 def _unpeel(path: str, raw: bytes) -> bytes:
-    """``raw`` with its gzip wrapping, if any, decompressed."""
+    """``raw`` with its gzip wrapping, if any, decompressed.
+
+    The first 64 KiB are inflated alone first, and the file is refused
+    unless they begin a v3 snapshot (of a supported version) or a JSON
+    object: a small file of compressed filler costs bounded memory,
+    not its inflated size.  Corrupt and truncated streams still fail
+    with gzip's own message."""
     if raw[:2] == _GZIP_MAGIC:
+        try:
+            head = zlib.decompressobj(16 + zlib.MAX_WBITS).decompress(
+                raw, _PROBE_BYTES
+            )
+        except zlib.error:
+            head = b""  # gzip.decompress below reports the corruption
+        if (
+            head
+            and not _is_v3_header(head[:10])
+            and not head.lstrip(b" \t\r\n").startswith(b"{")
+        ):
+            raise StorageError(
+                f"cannot read graph from {path}: the inflated data begins "
+                "neither a v3 snapshot nor a JSON document"
+            )
         try:
             raw = gzip.decompress(raw)
         except (OSError, EOFError, zlib.error) as exc:

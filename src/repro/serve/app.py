@@ -2,9 +2,11 @@
 
 Routes::
 
-    POST   /jobs                    submit {"classes": jasm | [jasm...]}
-                                    or {"components": [name...]} plus
-                                    optional {"options": {...}} ->
+    POST   /jobs                    submit one of {"classes": jasm |
+                                    [jasm...]}, {"components": [name...]},
+                                    {"diff": {"old": ..., "new": ...}},
+                                    {"snapshot": name} or {"live": true},
+                                    plus optional {"options": {...}} ->
                                     202 (new/attached) / 200 (cached)
     GET    /jobs                    job summaries
     GET    /jobs/<id>               state + live per-phase progress
@@ -14,8 +16,7 @@ Routes::
     GET    /jobs/<id>/verdicts      one verdict record per chain, in search
                                     order, + refinement statistics (empty
                                     unless options.refine names modes)
-    GET    /jobs/<id>/diff          the tabby-diff/v1 document (diff jobs:
-                                    {"diff": {"old": ..., "new": ...}})
+    GET    /jobs/<id>/diff          the tabby-diff/v2 document (diff jobs)
     GET    /jobs/<id>/query?q=...   a Cypher-subset query over the job's CPG
     DELETE /jobs/<id>[?purge=1]     drop the job (purge also evicts its
                                     cached result)
@@ -59,6 +60,15 @@ __all__ = ["TabbyServer", "create_server"]
 #: far beyond any real submission; this bounds a worker-thread's parse)
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: the result endpoints' replies: the members each one carries after
+#: the job id, drawn from the job's ``cached`` flag and its result
+RESULT_REPLIES = {
+    "chains": ("cached", "chains"),
+    "lint": ("issues",),
+    "verdicts": ("cached", "verdicts", "refinement"),
+    "diff": ("cached", "diff"),
+}
+
 
 class TabbyServer(ThreadingHTTPServer):
     """HTTP server owning one :class:`JobManager` and one limiter."""
@@ -75,6 +85,8 @@ class TabbyServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.manager = manager
         self.limiter = limiter if limiter is not None else RateLimiter()
+        self._serving_lock = threading.Lock()
+        self._serving = self._closing = False
 
     @property
     def port(self) -> int:
@@ -91,9 +103,19 @@ class TabbyServer(ThreadingHTTPServer):
         thread.start()
         return thread
 
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._serving_lock:
+            self._serving = not self._closing
+        if self._serving:
+            super().serve_forever(poll_interval)
+
     def close(self, drain: bool = True) -> None:
-        """Stop the listener, then drain (or cancel) queued jobs."""
-        self.shutdown()
+        """Stop the listener, then drain (or cancel) queued jobs.
+        Returns at once on a server whose loop never started."""
+        with self._serving_lock:
+            self._closing, serving = True, self._serving
+        if serving:
+            self.shutdown()  # waits for the serve_forever() loop to exit
         self.server_close()
         self.manager.shutdown(drain=drain)
 
@@ -246,8 +268,8 @@ class _Handler(BaseHTTPRequestHandler):
             if job is not None:
                 self._reply(200, job.as_dict())
             return
-        if len(parts) == 3 and parts[0] == "jobs" and parts[2] in (
-            "chains", "lint", "query", "verdicts", "diff",
+        if len(parts) == 3 and parts[0] == "jobs" and (
+            parts[2] in RESULT_REPLIES or parts[2] == "query"
         ):
             job = self._job_or_404(parts[1])
             if job is None:
@@ -260,46 +282,25 @@ class _Handler(BaseHTTPRequestHandler):
                     **({"detail": job.error} if job.error else {}),
                 )
                 return
-            result = job.result
-            if parts[2] == "chains":
-                self._reply(
-                    200,
-                    {
-                        "id": job.id,
-                        "cached": job.cached,
-                        "chains": result.chain_records,
-                    },
-                )
-            elif parts[2] == "lint":
-                self._reply(
-                    200, {"id": job.id, "issues": result.lint_records}
-                )
-            elif parts[2] == "diff":
-                if job.submission.kind != "diff":
-                    self._error(
-                        409, "not a diff job; submit {'diff': {...}}"
-                    )
-                    return
-                self._reply(
-                    200,
-                    {
-                        "id": job.id,
-                        "cached": job.cached,
-                        "diff": result.diff_record,
-                    },
-                )
-            elif parts[2] == "verdicts":
-                self._reply(
-                    200,
-                    {
-                        "id": job.id,
-                        "cached": job.cached,
-                        "verdicts": result.verdict_records,
-                        "refinement": result.refine_stats,
-                    },
-                )
-            else:
+            if parts[2] == "query":
                 self._do_query(job, parsed.query)
+                return
+            if parts[2] == "diff" and job.submission.kind != "diff":
+                self._error(409, "not a diff job; submit {'diff': {...}}")
+                return
+            result = job.result
+            members = {
+                "cached": job.cached,
+                "chains": result.chain_records,
+                "issues": result.lint_records,
+                "verdicts": result.verdict_records,
+                "refinement": result.refine_stats,
+                "diff": result.diff_record,
+            }
+            self._reply(200, {
+                "id": job.id,
+                **{name: members[name] for name in RESULT_REPLIES[parts[2]]},
+            })
             return
         self._error(404, f"no such route: GET {parsed.path}")
 
@@ -384,5 +385,4 @@ class _Handler(BaseHTTPRequestHandler):
     def do_PUT(self) -> None:
         self._error(405, "method not allowed")
 
-    def do_PATCH(self) -> None:
-        self._error(405, "method not allowed")
+    do_PATCH = do_PUT

@@ -3,8 +3,13 @@
 A submission travels: ``normalize_submission`` (shape validation +
 content hash, in the HTTP thread) -> :meth:`JobManager.submit` (dedup
 decision under one lock) -> a bounded pool of worker threads running
-the ordinary :class:`repro.core.api.Tabby` pipeline -> the
-content-hash-keyed :class:`repro.serve.store.ResultStore`.
+one pipeline for every job kind -> the content-hash-keyed
+:class:`repro.serve.store.ResultStore`.
+
+Every job kind runs one pipeline (:meth:`JobManager._compute`): a
+per-kind step acquires the CPG the submission names, and one tail
+searches it, lints and refines when classes were submitted,
+fingerprints it and builds the :class:`~repro.serve.store.JobResult`.
 
 Deduplication is two-layered and atomic with respect to the manager
 lock:
@@ -29,6 +34,7 @@ shared across all of them, processes included.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import queue
 import threading
@@ -38,8 +44,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.api import Tabby
 from repro.core.chains import chain_record
-from repro.core.cpg import CPG, CPGStatistics
-from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
+from repro.core.cpg import CPGStatistics
+from repro.core.pathfinder import SearchStatistics
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
 from repro.errors import ReproError
@@ -55,10 +61,14 @@ __all__ = [
     "LiveGraph",
     "Submission",
     "normalize_submission",
-    "resolve_classes",
 ]
 
 _SENTINEL = object()
+
+_KINDS = ("classes", "components", "snapshot", "diff", "live")
+
+#: kinds that search a graph as it is: no class hierarchy, so no refining
+_GRAPH_ONLY = {"snapshot": "a persisted CPG", "live": "the shared CPG"}
 
 
 class JobState:
@@ -75,9 +85,12 @@ class JobState:
 
 @dataclass(frozen=True)
 class Submission:
-    """A validated, content-addressed unit of work."""
+    """A validated, content-addressed unit of work.  ``payload`` is
+    what ``key`` hashes besides the options: jasm chunks (a diff's are
+    led by the old side's count), sorted component names, a snapshot
+    name and its file's stat token, or the live path and version."""
 
-    kind: str  # "classes" | "components" | "snapshot" | "diff" | "live"
+    kind: str  # one of _KINDS
     payload: Tuple[str, ...]
     options: Dict[str, Any]
     key: str
@@ -85,6 +98,13 @@ class Submission:
     #: submission time.  Not part of the content identity — the pinned
     #: *version number* already is, via ``payload``/``key``.
     pinned: Any = field(default=None, compare=False)
+
+
+def _stat_token(path: str) -> str:
+    """A file version's stat identity, size and mtime_ns: it stands in
+    for the content, which is too costly to hash per submission."""
+    st = os.stat(path)
+    return f"{st.st_size}:{st.st_mtime_ns}"
 
 
 def _resolve_snapshot(name: Any, snapshot_dir: Optional[str]) -> str:
@@ -114,6 +134,20 @@ def _resolve_snapshot(name: Any, snapshot_dir: Optional[str]) -> str:
     return path
 
 
+def _jasm_chunks(value: Any, name: str) -> Tuple[str, ...]:
+    """A ``classes`` value or a diff side as a tuple of jasm chunks."""
+    chunks = [value] if isinstance(value, str) else value
+    if (
+        not isinstance(chunks, list)
+        or not chunks
+        or not all(isinstance(c, str) and c.strip() for c in chunks)
+    ):
+        raise ValueError(
+            f"'{name}' must be a non-empty jasm string or list of jasm strings"
+        )
+    return tuple(chunks)
+
+
 def normalize_submission(
     body: Any,
     sinks: Optional[SinkCatalog] = None,
@@ -131,157 +165,92 @@ def normalize_submission(
     """
     if not isinstance(body, dict):
         raise ValueError("request body must be a JSON object")
-    unknown = set(body) - {
-        "classes", "components", "snapshot", "diff", "live", "options",
-    }
+    unknown = set(body) - {*_KINDS, "options"}
     if unknown:
         raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
-    kinds_present = [
-        k for k in ("classes", "components", "snapshot", "diff", "live")
-        if k in body
-    ]
+    kinds_present = [k for k in _KINDS if k in body]
     if len(kinds_present) != 1:
         raise ValueError(
             "provide exactly one of 'classes', 'components', 'snapshot', "
             "'diff' or 'live'"
         )
+    kind = kinds_present[0]
+    value = body[kind]
     options = body.get("options")
     if options is not None and not isinstance(options, dict):
         raise ValueError("'options' must be a JSON object")
     options = canonical_options(options)
 
-    if kinds_present == ["live"]:
+    pinned, catalogs = None, {}
+    if kind == "live":
         if live is None:
             raise ValueError(
                 "live jobs are disabled (start the server with --live)"
             )
-        if body["live"] is not True:
+        if value is not True:
             raise ValueError("'live' must be the JSON literal true")
-        if options["refine"]:
-            raise ValueError(
-                "live jobs cannot refine: the shared CPG carries no class "
-                "hierarchy (rebuild from classes/components instead)"
-            )
         # pin the current committed version NOW (one atomic attribute
         # read — wait-free w.r.t. any in-flight writer); the version
         # number is the content identity, so a commit between two
         # submissions gives the second one a fresh key while the first
         # keeps serving its pinned version
-        graph, version = live.pin()
-        key = bundle_key("live", (live.path, str(version)), options)
-        return Submission(
-            kind="live", payload=(str(version),), options=options, key=key,
-            pinned=graph,
-        )
-
-    if kinds_present == ["snapshot"]:
-        path = _resolve_snapshot(body["snapshot"], snapshot_dir)
-        if options["refine"]:
-            raise ValueError(
-                "snapshot jobs cannot refine: a persisted CPG carries no "
-                "class hierarchy (rebuild from classes/components instead)"
-            )
-        # the key must change when the file does: stat identity stands
-        # in for content (hashing multi-GB snapshots per submission
-        # would defeat the zero-copy point)
-        st = os.stat(path)
-        token = f"{st.st_size}:{st.st_mtime_ns}"
-        key = bundle_key("snapshot", (body["snapshot"], token), options)
-        return Submission(
-            kind="snapshot", payload=(body["snapshot"],), options=options,
-            key=key,
-        )
-
-    if kinds_present == ["diff"]:
-        spec = body["diff"]
-        if not isinstance(spec, dict) or set(spec) != {"old", "new"}:
-            raise ValueError(
-                "'diff' must be an object with exactly 'old' and 'new' "
-                "jasm bundles"
-            )
-        sides = {}
-        for side in ("old", "new"):
-            chunks = spec[side]
-            if isinstance(chunks, str):
-                chunks = [chunks]
-            if (
-                not isinstance(chunks, list)
-                or not chunks
-                or not all(isinstance(c, str) and c.strip() for c in chunks)
-            ):
-                raise ValueError(
-                    f"'diff.{side}' must be a non-empty jasm string or "
-                    "list of jasm strings"
-                )
-            sides[side] = tuple(chunks)
-        sources = (
-            SourceCatalog.native()
-            if options["sources"] == "native"
-            else SourceCatalog.extended()
-        )
-        # both versions' content feeds the key; the leading count keeps
-        # ("ab","c") vs ("a","bc") splits from colliding
-        payload = (str(len(sides["old"])),) + sides["old"] + sides["new"]
-        key = bundle_key("diff", payload, options, sinks=sinks, sources=sources)
-        return Submission(kind="diff", payload=payload, options=options, key=key)
-
-    has_classes = kinds_present == ["classes"]
-    if has_classes:
-        chunks = body["classes"]
-        if isinstance(chunks, str):
-            chunks = [chunks]
-        if (
-            not isinstance(chunks, list)
-            or not chunks
-            or not all(isinstance(c, str) and c.strip() for c in chunks)
-        ):
-            raise ValueError("'classes' must be a non-empty jasm string "
-                             "or list of jasm strings")
-        kind, payload = "classes", tuple(chunks)
+        pinned, version = live.pin()
+        payload = (live.path, str(version))
+    elif kind == "snapshot":
+        path = _resolve_snapshot(value, snapshot_dir)
+        # the key must change when the file does; the worker checks the
+        # file still has this token before it files a result under it
+        payload = (value, _stat_token(path))
     else:
-        names = body["components"]
-        if (
-            not isinstance(names, list)
-            or not names
-            or not all(isinstance(n, str) for n in names)
-        ):
-            raise ValueError("'components' must be a non-empty list of "
-                             "component names")
-        from repro.corpus import COMPONENT_NAMES
+        catalogs = {
+            "sinks": sinks, "sources": SourceCatalog.named(options["sources"]),
+        }
+        if kind == "diff":
+            if not isinstance(value, dict) or set(value) != {"old", "new"}:
+                raise ValueError(
+                    "'diff' must be an object with exactly 'old' and 'new' "
+                    "jasm bundles"
+                )
+            old = _jasm_chunks(value["old"], "diff.old")
+            new = _jasm_chunks(value["new"], "diff.new")
+            # both versions' content feeds the key; the leading count
+            # keeps ("ab","c") vs ("a","bc") splits from colliding
+            payload = (str(len(old)),) + old + new
+        elif kind == "classes":
+            payload = _jasm_chunks(value, "classes")
+        else:
+            if (
+                not isinstance(value, list)
+                or not value
+                or not all(isinstance(n, str) for n in value)
+            ):
+                raise ValueError("'components' must be a non-empty list of "
+                                 "component names")
+            from repro.corpus import COMPONENT_NAMES
 
-        bad = sorted(set(names) - set(COMPONENT_NAMES))
-        if bad:
-            raise ValueError(f"unknown component(s): {', '.join(bad)}")
-        # order-independent: the resolved classpath is lang base + the
-        # sorted component set either way
-        kind, payload = "components", tuple(sorted(set(names)))
-
-    sources = (
-        SourceCatalog.native()
-        if options["sources"] == "native"
-        else SourceCatalog.extended()
+            bad = sorted(set(value) - set(COMPONENT_NAMES))
+            if bad:
+                raise ValueError(f"unknown component(s): {', '.join(bad)}")
+            # order-independent: the resolved classpath is lang base + the
+            # sorted component set either way
+            payload = tuple(sorted(set(value)))
+    if kind in _GRAPH_ONLY and options["refine"]:
+        raise ValueError(
+            f"{kind} jobs cannot refine: {_GRAPH_ONLY[kind]} carries no class "
+            "hierarchy (rebuild from classes/components instead)"
+        )
+    key = bundle_key(kind, payload, options, **catalogs)
+    return Submission(
+        kind=kind, payload=payload, options=options, key=key, pinned=pinned
     )
-    key = bundle_key(kind, payload, options, sinks=sinks, sources=sources)
-    return Submission(kind=kind, payload=payload, options=options, key=key)
 
 
-def resolve_classes(submission: Submission) -> List[Any]:
-    """Parse/build the submitted classes.  Runs in the worker (or the
-    equivalence tests); jasm syntax errors propagate as ``ReproError``
-    and fail the job rather than the HTTP request."""
-    if submission.kind == "classes":
-        from repro.jvm import jasm
+def _parse(chunks: Sequence[str]) -> List[Any]:
+    """The classes of jasm chunks, in order.  Runs in the worker, so a
+    syntax error (``ReproError``) fails the job, not the request."""
+    from repro.jvm import jasm
 
-        classes: List[Any] = []
-        for chunk in submission.payload:
-            classes.extend(jasm.loads(chunk))
-        return classes
-    from repro.corpus import build_component, build_lang_base
-
-    classes = build_lang_base()
-    for name in submission.payload:
-        classes += build_component(name).classes
-    return classes
+    return [cls for chunk in chunks for cls in jasm.loads(chunk)]
 
 
 class LiveGraph:
@@ -304,15 +273,9 @@ class LiveGraph:
             raise ValueError(f"live CPG not found: {path}")
         self.path = path
         self._refresh_lock = threading.Lock()
-        graph, token = self._load()
-        self._stat_token = token
-        self.versioned = VersionedGraph(graph)
+        self._stat_token = _stat_token(path)
+        self.versioned = VersionedGraph(load_graph(path))
         self.refreshes = 0
-
-    def _load(self) -> Tuple[Any, str]:
-        st = os.stat(self.path)
-        token = f"{st.st_size}:{st.st_mtime_ns}"
-        return load_graph(self.path), token
 
     def pin(self) -> Tuple[Any, int]:
         """The current committed version plus its number (wait-free)."""
@@ -328,24 +291,15 @@ class LiveGraph:
         never wait.
         """
         with self._refresh_lock:
-            st = os.stat(self.path)
-            token = f"{st.st_size}:{st.st_mtime_ns}"
-            if not force and token == self._stat_token:
-                return {
-                    "refreshed": False,
-                    "version": self.versioned.version,
-                }
-            graph, token = self._load()
-            with self.versioned.write_txn() as txn:
-                txn.replace(graph)
-            self._stat_token = token
-            self.refreshes += 1
-            return {"refreshed": True, "version": self.versioned.version}
-
-    def cpg_view(self, graph: Any) -> CPG:
-        """A searchable CPG wrapper around one pinned version (no class
-        hierarchy — same contract as a snapshot-loaded Tabby)."""
-        return CPG.from_graph(graph)
+            token = _stat_token(self.path)
+            changed = force or token != self._stat_token
+            if changed:
+                graph = load_graph(self.path)
+                with self.versioned.write_txn() as txn:
+                    txn.replace(graph)
+                self._stat_token = token
+                self.refreshes += 1
+            return {"refreshed": changed, "version": self.versioned.version}
 
     def stats(self) -> Dict[str, Any]:
         graph, version = self.pin()
@@ -468,17 +422,14 @@ class JobManager:
         self.live: Optional[LiveGraph] = LiveGraph(live) if live else None
         self.max_queue = max_queue
         self.inline = inline
-        # opened-graph cache for snapshot jobs: one mmap/decoded graph
-        # per (path, stat identity), shared by every concurrent and
-        # repeat job over the same file version; lifetime rides the
-        # result store's LRU via its eviction hook
+        # opened-graph cache for snapshot jobs: per file version (path +
+        # stat token), the opened graph, the SHA-256 of its bytes and the
+        # keys of the results using it, shared by every job over that
+        # version and retired with the last of those results
         self._snap_lock = threading.Lock()
-        self._snapshot_graphs: Dict[str, Any] = {}
-        self._snapshot_refs: Dict[str, Set[str]] = {}
-        self._snapshot_tokens: Dict[str, str] = {}
+        self._snapshots: Dict[str, Tuple[Any, str, Set[str]]] = {}
         self.snapshot_cache_hits = 0
         self.snapshot_cache_opens = 0
-        self._prior_on_evict = self.store.on_evict
         self.store.on_evict = self._result_evicted
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._jobs: Dict[str, Job] = {}
@@ -616,7 +567,7 @@ class JobManager:
             job.phase = "parse"
         try:
             result = self._compute(job)
-        except (ReproError, ValueError) as exc:
+        except (ReproError, ValueError, OSError) as exc:
             with self._lock:
                 job.end(JobState.FAILED)
                 job.error = str(exc)
@@ -635,247 +586,154 @@ class JobManager:
         job.event.set()
 
     def _compute(self, job: Job) -> JobResult:
-        """The ordinary pipeline, with phase markers the progress
-        endpoint surfaces live."""
+        """The one pipeline: :meth:`_acquire` yields the job's CPG, then
+        one tail searches it (a diff job keeps its diff's chains), lints
+        and refines when classes were submitted, and fingerprints it.
+        Phase markers and statistics rows feed the progress endpoint."""
         from repro.lint import lint_classes
 
         started = time.perf_counter()
-        options = job.submission.options
-        if job.submission.kind == "snapshot":
-            return self._compute_snapshot(job, options, started)
-        if job.submission.kind == "live":
-            return self._compute_live(job, options, started)
-        if job.submission.kind == "diff":
-            return self._compute_diff(job, options, started)
-        classes = resolve_classes(job.submission)
-        sources = (
-            SourceCatalog.native()
-            if options["sources"] == "native"
-            else SourceCatalog.extended()
-        )
-        tabby = Tabby(
-            sinks=self.sinks,
-            sources=sources,
-            cache_dir=self.cache_dir,
-        ).add_classes(classes)
-        job.phase = "build_cpg"
+        sub = job.submission
+        tabby, classes, diff, fingerprint = self._acquire(job)
         cpg = tabby.build_cpg()
         job.progress["cpg"] = _cpg_row(cpg.statistics)
-        job.phase = "search"
-        chains = tabby.find_gadget_chains(
-            max_depth=options["max_depth"],
-            source_filter=options["source_filter"],
-            refine=_refine_modes(options),
-        )
+        if sub.kind == "live":
+            job.progress["version"] = int(sub.payload[1])
+        if diff is None:
+            job.phase = "search"
+            chains = tabby.find_gadget_chains(
+                max_depth=sub.options["max_depth"],
+                source_filter=sub.options["source_filter"],
+                refine=_refine_modes(sub.options),
+            )
+            records = [chain_record(chain) for chain in chains]
+        else:
+            records = diff["survived"] + diff["appeared"]
         job.progress["search"] = _search_row(tabby.last_search_stats)
         refined = tabby.last_refine
-        job.phase = "lint"
-        lint_records = [issue.to_dict() for issue in lint_classes(classes)]
+        lint_records: List[Dict[str, Any]] = []
+        if classes is not None:
+            job.phase = "lint"
+            lint_records = [issue.to_dict() for issue in lint_classes(classes)]
         job.phase = "fingerprint"
-        digest = fingerprint_digest(cpg.graph)
         return JobResult(
             key=job.key,
-            chain_records=[chain_record(chain) for chain in chains],
+            chain_records=records,
             lint_records=lint_records,
             verdict_records=refined.records() if refined is not None else [],
             refine_stats=refined.statistics if refined is not None else {},
+            diff_record=diff or {},
             graph=cpg.graph,
-            fingerprint=digest,
+            fingerprint=fingerprint or fingerprint_digest(cpg.graph),
             cpg_row=job.progress["cpg"],
             search_row=job.progress["search"],
-            class_count=len(classes),
+            class_count=tabby.class_count,
             compute_seconds=time.perf_counter() - started,
         )
 
-    def _compute_diff(
-        self, job: Job, options: Dict[str, Any], started: float
-    ) -> JobResult:
-        """Two-version chain diff via the incremental analyzer.
-
-        The stored result is keyed by both versions' content hashes, so
-        a repeated diff of identical bundles is a pure cache hit.  The
-        result carries the NEW version's graph (queryable) and chain
-        records, plus the versioned ``tabby-diff/v1`` document under
-        ``diff_record``.
-        """
-        from repro.core.incremental import diff_to_dict
-        from repro.jvm import jasm
-
-        split = int(job.submission.payload[0])
-        old_chunks = job.submission.payload[1 : 1 + split]
-        new_chunks = job.submission.payload[1 + split :]
-        old_classes: List[Any] = []
-        for chunk in old_chunks:
-            old_classes.extend(jasm.loads(chunk))
-        new_classes: List[Any] = []
-        for chunk in new_chunks:
-            new_classes.extend(jasm.loads(chunk))
-        sources = (
-            SourceCatalog.native()
-            if options["sources"] == "native"
-            else SourceCatalog.extended()
-        )
+    def _acquire(self, job: Job) -> Tuple[
+        Tabby, Optional[List[Any]], Optional[Dict[str, Any]], Optional[str]
+    ]:
+        """The per-kind step of :meth:`_compute`: a :class:`Tabby`
+        holding the job's CPG, the submitted classes the tail lints
+        (None for a diff and the graph-only kinds), a diff job's
+        document (its survived and appeared chains are the result's)
+        and a snapshot's file digest (its fingerprint)."""
+        sub = job.submission
+        if sub.kind == "live":
+            # a frozen committed MVCC version: a pure read over structure
+            # shared with every other live job, unchanged by a refresh
+            return Tabby.from_graph(sub.pinned), None, None, None
+        if sub.kind == "snapshot":
+            job.phase = "open"
+            graph, digest = self._open_snapshot(job)
+            return Tabby.from_graph(graph), None, None, digest
         tabby = Tabby(
             sinks=self.sinks,
-            sources=sources,
+            sources=SourceCatalog.named(sub.options["sources"]),
             cache_dir=self.cache_dir,
         )
-        job.phase = "diff"
-        diff = tabby.diff_versions(
-            old_classes,
-            new_classes,
-            max_depth=options["max_depth"],
-            source_filter=options["source_filter"],
-            refine=_refine_modes(options),
-        )
-        record = diff_to_dict(diff)
-        job.progress["diff"] = record["summary"]
-        cpg = tabby.build_cpg()
-        job.progress["cpg"] = _cpg_row(cpg.statistics)
-        job.progress["search"] = _search_row(tabby.last_search_stats)
-        job.phase = "fingerprint"
-        digest = fingerprint_digest(cpg.graph)
-        return JobResult(
-            key=job.key,
-            chain_records=record["survived"] + record["appeared"],
-            diff_record=record,
-            graph=cpg.graph,
-            fingerprint=digest,
-            cpg_row=job.progress["cpg"],
-            search_row=job.progress["search"],
-            class_count=len(new_classes),
-            compute_seconds=time.perf_counter() - started,
-        )
+        if sub.kind == "diff":
+            from repro.core.incremental import diff_to_dict
 
-    def _open_snapshot_graph(self, path: str, key: str) -> Any:
-        """The opened-graph cache behind snapshot jobs.
+            split = 1 + int(sub.payload[0])
+            old, new = _parse(sub.payload[1:split]), _parse(sub.payload[split:])
+            job.phase = "diff"
+            # the old version builds cold and patches into the new one;
+            # the Tabby then holds the NEW version's CPG
+            diff = diff_to_dict(tabby.diff_versions(
+                old,
+                new,
+                max_depth=sub.options["max_depth"],
+                source_filter=sub.options["source_filter"],
+                refine=_refine_modes(sub.options),
+            ))
+            job.progress["diff"] = diff["summary"]
+            return tabby, None, diff, None
+        if sub.kind == "classes":
+            classes = _parse(sub.payload)
+        else:
+            from repro.corpus import build_component, build_lang_base
 
-        Keyed by path plus the same size+mtime_ns stat token the
-        submission key embeds, so a replaced file is a clean miss.  The
-        ``key`` (the job's result-store key) is recorded against the
-        entry; when the result store's LRU evicts the last result that
-        referenced a cached graph, the graph itself is dropped too
-        (see :meth:`_result_evicted`).
-        """
-        st = os.stat(path)
-        token = f"{path}|{st.st_size}:{st.st_mtime_ns}"
+            classes = build_lang_base()
+            for name in sub.payload:
+                classes += build_component(name).classes
+        job.phase = "build_cpg"
+        tabby.add_classes(classes).build_cpg()
+        return tabby, classes, None, None
+
+    def _open_snapshot(self, job: Job) -> Tuple[Any, str]:
+        """The graph and SHA-256 of the snapshot version a job's key
+        names, from the opened-graph cache.
+
+        A v3 file is mmap'd in place — concurrent jobs over one file walk
+        one physical copy — and a v1 JSON file decodes; a retired format
+        fails the job with the storage error that names the remedy.  A
+        miss opens and hashes the file once, then checks it still has
+        the key's stat token: a file replaced since submission fails the
+        job, so key, graph and fingerprint name one version."""
+        name, token = job.submission.payload
+        path = _resolve_snapshot(name, self.snapshot_dir)
+        version = f"{path}|{token}"
         with self._snap_lock:
-            graph = self._snapshot_graphs.get(token)
-            if graph is not None:
-                self.snapshot_cache_hits += 1
-                self._snapshot_refs[token].add(key)
-                self._snapshot_tokens[key] = token
-                return graph
-        opened = open_graph(path)
+            entry = self._snapshots.get(version)
+        opened = entry is None
+        if opened:
+            graph = open_graph(path)
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            if _stat_token(path) != token:
+                raise ValueError(
+                    f"snapshot {name} changed after submission; resubmit "
+                    "the job to analyse the current file"
+                )
+            entry = (graph, digest.hexdigest(), set())
         with self._snap_lock:
-            graph = self._snapshot_graphs.get(token)
-            if graph is not None:  # raced another worker's open
-                self.snapshot_cache_hits += 1
-            else:
-                graph = opened
-                self._snapshot_graphs[token] = graph
+            # a worker that raced another's open keeps the first graph
+            kept = self._snapshots.setdefault(version, entry)
+            if opened and kept is entry:
                 self.snapshot_cache_opens += 1
-            self._snapshot_refs.setdefault(token, set()).add(key)
-            self._snapshot_tokens[key] = token
-        return graph
+            else:
+                self.snapshot_cache_hits += 1
+            kept[2].add(job.key)
+        return kept[0], kept[1]
 
     def _result_evicted(self, key: str, result: JobResult) -> None:
         """Result-store eviction hook: release the result's graph, and
-        retire the opened snapshot graph once no stored result
-        references its file version any more.
+        retire every opened snapshot version no stored result uses any
+        more.
 
         Jobs that still hold the result keep serving its chains, lint,
         verdicts, diff and fingerprint; ``GET /jobs/<id>/query`` on a
         released graph answers 410, and resubmitting recomputes it."""
         result.graph = None
         with self._snap_lock:
-            token = self._snapshot_tokens.pop(key, None)
-            if token is not None:
-                refs = self._snapshot_refs.get(token)
-                if refs is not None:
-                    refs.discard(key)
-                    if not refs:
-                        del self._snapshot_refs[token]
-                        self._snapshot_graphs.pop(token, None)
-        if self._prior_on_evict is not None:
-            self._prior_on_evict(key, result)
-
-    def _compute_snapshot(
-        self, job: Job, options: Dict[str, Any], started: float
-    ) -> JobResult:
-        """Search a persisted CPG opened zero-copy from the snapshot dir.
-
-        A v3 snapshot is mmap'd in place — N concurrent snapshot jobs
-        over the same file walk one physical copy — while a v1 JSON
-        file decodes per job.  A file with a retired or unknown snapshot
-        version fails the job with the storage error that names the
-        remedy.  The opened graph is additionally cached per file
-        version (path + stat identity), so repeat jobs over an unchanged
-        file skip even the O(header) open/decode; the cache entry is
-        evicted alongside the last stored result that used it.  No
-        parse, build, lint or refine phases run: the snapshot *is* the
-        CPG, and the fingerprint is a digest of the file bytes rather
-        than of a rebuilt graph.
-        """
-        import hashlib
-
-        path = _resolve_snapshot(job.submission.payload[0], self.snapshot_dir)
-        job.phase = "open"
-        cpg = CPG.from_graph(self._open_snapshot_graph(path, job.key))
-        job.progress["cpg"] = _cpg_row(cpg.statistics)
-        job.phase = "search"
-        finder = GadgetChainFinder(cpg, max_depth=options["max_depth"])
-        chains = finder.find_chains(source_filter=options["source_filter"])
-        job.progress["search"] = _search_row(finder.last_search_stats)
-        job.phase = "fingerprint"
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-        return JobResult(
-            key=job.key,
-            chain_records=[chain_record(chain) for chain in chains],
-            graph=cpg.graph,
-            fingerprint=digest.hexdigest(),
-            cpg_row=job.progress["cpg"],
-            search_row=job.progress["search"],
-            class_count=0,
-            compute_seconds=time.perf_counter() - started,
-        )
-
-    def _compute_live(
-        self, job: Job, options: Dict[str, Any], started: float
-    ) -> JobResult:
-        """Search the version of the shared live CPG this job pinned.
-
-        The pinned graph is a frozen committed MVCC version: the search
-        is a pure read over structure shared with every other live job
-        and with the current version — no lock, no copy, no reopen.  A
-        refresh committed mid-job changes nothing here; the result (and
-        its ``/query`` graph) stays bit-identical to the pinned version.
-        """
-        graph = job.submission.pinned
-        if graph is None:  # submissions built without a pin fall back
-            graph, _ = self.live.pin()
-        cpg = self.live.cpg_view(graph)
-        job.progress["cpg"] = _cpg_row(cpg.statistics)
-        job.progress["version"] = int(job.submission.payload[0])
-        job.phase = "search"
-        finder = GadgetChainFinder(cpg, max_depth=options["max_depth"])
-        chains = finder.find_chains(source_filter=options["source_filter"])
-        job.progress["search"] = _search_row(finder.last_search_stats)
-        job.phase = "fingerprint"
-        digest = fingerprint_digest(graph)
-        return JobResult(
-            key=job.key,
-            chain_records=[chain_record(chain) for chain in chains],
-            graph=graph,
-            fingerprint=digest,
-            cpg_row=job.progress["cpg"],
-            search_row=job.progress["search"],
-            class_count=0,
-            compute_seconds=time.perf_counter() - started,
-        )
+            for version, (_graph, _digest, keys) in list(self._snapshots.items()):
+                keys.discard(key)
+                if not keys:
+                    del self._snapshots[version]
 
     # -- shutdown ----------------------------------------------------------
 
@@ -913,7 +771,7 @@ class JobManager:
     def stats(self) -> Dict[str, Any]:
         with self._snap_lock:
             snapshot_graphs = {
-                "entries": len(self._snapshot_graphs),
+                "entries": len(self._snapshots),
                 "hits": self.snapshot_cache_hits,
                 "opens": self.snapshot_cache_opens,
             }

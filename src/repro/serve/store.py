@@ -29,7 +29,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
@@ -104,12 +104,9 @@ def bundle_key(
     sinks: Optional[SinkCatalog] = None,
     sources: Optional[SourceCatalog] = None,
 ) -> str:
-    """The content hash a submission is cached under.
-
-    ``kind`` is ``"classes"`` (payload: jasm text chunks, order
-    preserved — jar order is analysis-relevant) or ``"components"``
-    (payload: corpus component names, sorted by the caller).
-    """
+    """The content hash a submission is cached under: ``payload`` is a
+    :class:`~repro.serve.jobs.Submission`'s, order preserved (jar order
+    is analysis-relevant; callers sort what is order-free)."""
     h = hashlib.sha256()
     h.update(
         f"serve-v{SERVE_FORMAT_VERSION}|{catalog_token(sinks, sources)}|".encode()
@@ -139,7 +136,7 @@ class JobResult:
     lint_records: List[Dict[str, Any]] = field(default_factory=list)
     verdict_records: List[Dict[str, Any]] = field(default_factory=list)
     refine_stats: Dict[str, Any] = field(default_factory=dict)
-    #: the versioned tabby-diff/v1 document, for ``diff`` jobs only
+    #: the versioned tabby-diff/v2 document, for ``diff`` jobs only
     diff_record: Dict[str, Any] = field(default_factory=dict)
     graph: Any = None
     fingerprint: str = ""
@@ -161,7 +158,7 @@ class ResultStore:
     contract).
     """
 
-    def __init__(self, capacity: int = 256, on_evict: Optional[Any] = None):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("store capacity must be >= 1")
         self.capacity = capacity
@@ -173,10 +170,10 @@ class ResultStore:
         self.evicted = 0
         #: ``on_evict(key, result)`` fires for every entry leaving the
         #: store (LRU pressure or explicit :meth:`evict`), *outside* the
-        #: store lock — side caches keyed by result keys (the job
-        #: manager's opened-snapshot graphs) piggyback their lifetime on
-        #: the store's this way
-        self.on_evict = on_evict
+        #: store lock; the job manager sets it to release the result's
+        #: graph and retire the opened snapshot versions no stored
+        #: result uses any more
+        self.on_evict: Callable[[str, JobResult], None] = lambda key, result: None
 
     def get(self, key: str) -> Optional[JobResult]:
         with self._lock:
@@ -203,20 +200,17 @@ class ResultStore:
             while len(self._entries) > self.capacity:
                 dropped.append(self._entries.popitem(last=False))
                 self.evicted += 1
-        if self.on_evict is not None:
-            for old_key, old_result in dropped:
-                self.on_evict(old_key, old_result)
+        for old_key, old_result in dropped:
+            self.on_evict(old_key, old_result)
 
     def evict(self, key: str) -> bool:
         with self._lock:
             result = self._entries.pop(key, None)
-            if result is not None:
-                self.evicted += 1
-        if result is not None:
-            if self.on_evict is not None:
-                self.on_evict(key, result)
-            return True
-        return False
+            if result is None:
+                return False
+            self.evicted += 1
+        self.on_evict(key, result)
+        return True
 
     def keys(self) -> List[str]:
         with self._lock:
@@ -225,10 +219,6 @@ class ResultStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

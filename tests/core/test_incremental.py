@@ -363,8 +363,8 @@ class TestChainDiff:
         assert len(diff.disappeared) + len(diff.survived) == len(old)
 
     def test_schema_document_is_pinned(self):
-        """The tabby-diff/v1 document shape is a published contract."""
-        assert DIFF_SCHEMA_VERSION == "tabby-diff/v1"
+        """The tabby-diff/v2 document shape is a published contract."""
+        assert DIFF_SCHEMA_VERSION == "tabby-diff/v2"
         tabby = Tabby(sources=SourceCatalog.native())
         diff = tabby.diff_versions(
             gadget_program(sink_in_b=False), gadget_program()
@@ -375,7 +375,11 @@ class TestChainDiff:
             "survived",
         ]
         assert "incremental" not in diff_to_dict(diff_chains([], []))
-        assert document["schema"] == "tabby-diff/v1"
+        assert document["schema"] == "tabby-diff/v2"
+        # v2: no wall-clock members, so equal inputs give equal bytes
+        assert set(diff.statistics.as_row()) - set(document["incremental"]) == {
+            "total_seconds", "phase_seconds",
+        }
         assert sorted(document["summary"]) == [
             "appeared", "disappeared", "new_total", "old_total", "survived",
         ]

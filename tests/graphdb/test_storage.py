@@ -93,6 +93,68 @@ class TestRoundTrip:
         assert loaded.node_count == g.node_count
 
 
+class TestGzipInflateBound:
+    """A gzip file is checked on its first 64 KiB of inflated data
+    before the rest is inflated."""
+
+    @staticmethod
+    def write_gzip(path, chunks):
+        import gzip
+
+        with gzip.GzipFile(str(path), "wb", compresslevel=9) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+
+    @pytest.mark.parametrize("reader", [load_graph, open_graph])
+    def test_zeros_fail_within_a_small_memory_budget(self, tmp_path, reader):
+        """64 MiB of zeros compress to ~65 KB; refusing them must not
+        inflate them."""
+        import tracemalloc
+
+        path = tmp_path / "zeros.json.gz"
+        self.write_gzip(path, (bytes(1 << 20) for _ in range(64)))
+        assert path.stat().st_size < 100_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(StorageError, match="neither a v3 snapshot nor a JSON"):
+                reader(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("reader", [load_graph, open_graph])
+    def test_truncated_and_corrupt_streams_keep_gzip_messages(self, tmp_path, reader):
+        import gzip
+
+        path = tmp_path / "g.json.gz"
+        save_graph(sample_graph(), str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(StorageError, match="end-of-stream marker"):
+            reader(str(path))
+        # a flipped deflate byte: zlib's error, or gzip's CRC check
+        body = bytearray(raw)
+        body[len(body) // 2] ^= 0xFF
+        path.write_bytes(bytes(body))
+        with pytest.raises(StorageError) as info:
+            reader(str(path))
+        with pytest.raises(Exception) as expected:
+            gzip.decompress(bytes(body))
+        assert str(expected.value) in str(info.value)
+
+    def test_gzip_wrapped_retired_format_fails_at_its_header(self, tmp_path):
+        import struct
+
+        from repro.graphdb.snapshot_v3 import SNAPSHOT_MAGIC
+
+        path = tmp_path / "old.cpg.gz"
+        header = struct.pack("<8sHHI", SNAPSHOT_MAGIC, 2, 0, 5)
+        self.write_gzip(path, [header] + [bytes(1 << 20)] * 16)
+        with pytest.raises(StorageError, match="unsupported snapshot format version 2"):
+            load_graph(str(path))
+
+
 class TestBulkLoaderEquivalence:
     """graph_from_dict (trusted bulk path) vs the legacy validated
     loader: structurally identical graphs, including after deletions

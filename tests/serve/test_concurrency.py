@@ -219,6 +219,16 @@ class TestShutdown:
         manager.shutdown()
         manager.shutdown(drain=False)  # second call is a no-op
 
+    def test_close_returns_on_a_server_that_never_served(self):
+        """A library caller may build a server and close it without
+        ever starting its loop; close() must not wait for one."""
+        server = create_server(port=0, workers=1)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "close() blocked on a loop that never ran"
+        assert server.manager.closed
+
 
 class TestDeleteSemantics:
     def test_delete_running_job_refused(self):

@@ -3,6 +3,8 @@ fetch the tabby-diff/v1 document, and compare against the direct
 library call.  Also the error contract (400 malformed bodies, 409 on a
 non-diff job) and content-hash caching of identical diff submissions."""
 
+import json
+
 from repro.core import SourceCatalog, Tabby
 from repro.core.incremental import DIFF_SCHEMA_VERSION, diff_to_dict
 from repro.corpus.patterns import plant_guard_decoy
@@ -106,6 +108,23 @@ class TestDiffJob:
         _, d2, _ = client.request("GET", f"/jobs/{second['id']}/diff")
         assert d1["diff"] == d2["diff"]
         assert d2["cached"] is True
+
+    def test_purged_resubmission_is_byte_identical(self, client):
+        """A recomputed diff document equals the first one byte for
+        byte: the document carries no wall-clock fields."""
+        old = jasm.dumps(versioned_classes("sb", with_sink=False))
+        new = jasm.dumps(versioned_classes("sb", with_sink=True))
+        documents = []
+        for _ in range(2):
+            code, doc, _ = submit_diff(client, old, new)
+            assert code == 202 and doc["status"] == "new", doc
+            assert client.poll_done(doc["id"])["state"] == "done"
+            code, payload, _ = client.request("GET", f"/jobs/{doc['id']}/diff")
+            assert code == 200
+            documents.append(json.dumps(payload["diff"]))
+            code, _, _ = client.request("DELETE", f"/jobs/{doc['id']}?purge=1")
+            assert code == 200
+        assert documents[0] == documents[1]
 
     def test_swapped_sides_are_distinct_submissions(self, client):
         old = jasm.dumps(versioned_classes("ss", with_sink=False))

@@ -430,16 +430,29 @@ class TestDiffCommand:
     def test_json_profile_keeps_stdout_and_reports_on_stderr(self, jar_dir,
                                                             capsys):
         """--profile composes with --json: stdout is exactly the JSON
-        document, and the incremental rows go to stderr."""
+        document, and the incremental rows go to stderr — the timings
+        first, which only --profile prints, then the document's rows."""
         assert main(["diff", jar_dir, jar_dir, "--json", "--profile"]) == 0
         captured = capsys.readouterr()
         document = json.loads(captured.out)
         assert captured.out == json.dumps(document, indent=2) + "\n"
-        assert document["schema"] == "tabby-diff/v1"
-        assert captured.err.splitlines() == [
+        assert document["schema"] == "tabby-diff/v2"
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("diff total_seconds: ")
+        assert lines[1].startswith("diff phase_seconds: {")
+        assert lines[2:] == [
             f"diff {key}: {value}"
             for key, value in document["incremental"].items()
         ]
+
+    def test_json_document_is_byte_identical_across_runs(self, jar_dir, capsys):
+        """Two runs over the same jars print the same bytes: wall-clock
+        timings are not part of the document."""
+        outputs = []
+        for _ in range(2):
+            assert main(["diff", jar_dir, jar_dir, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestImportFootprint:
